@@ -1,11 +1,12 @@
 """GTFS table loading + the service-date semi-join (reference J5).
 
-Facts vs dims: ``stop_times`` and ``shapes`` are the scale-out fact
-tables (read lazily as Datasets, column-pruned at the read); ``agency``
-``routes`` ``trips`` ``calendar`` ``stops`` ``route_attributes``
-``feed_info`` are dimension tables — loaded once driver-side as pyarrow
-tables and broadcast via ``ray.put`` into every stage (reference holds
-them behind one shared SQLite handle, SURVEY §2.8).
+Facts vs dims: ``stop_times`` and ``shapes`` are the fact tables
+(column-pruned at the read, read at most once per context);
+``agency`` ``routes`` ``trips`` ``calendar`` ``stops``
+``route_attributes`` ``feed_info`` are dimension tables, loaded whole.
+All of them are pyarrow tables in the calling process, the way the
+reference holds them behind one shared SQLite handle (SURVEY §2.8): a
+feed is dimension-scale, so no Ray Data job runs on the feed side.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from pathlib import Path
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import ray
-import ray.data as rd
+from pyarrow import csv as pacsv
 
-FACT_TABLES = ("stop_times", "shapes")
 DIM_TABLES = ("agency", "routes", "trips", "calendar", "stops", "route_attributes", "feed_info")
 
 # GTFS CSV columns that are numeric by spec; everything else reads as
@@ -45,8 +44,6 @@ def _csv_convert_options(path: Path, include_columns: list[str] | None = None):
     Leaving columns to pyarrow inference corrupts GTFS data (dates
     '20240101' → int64 breaks the calendar date-range scan; zero-padded
     ids '007' → 7 breaks joins and filenames)."""
-    from pyarrow import csv as pacsv
-
     cols = _csv_header(path)
     types = {c: _GTFS_NUMERIC.get(c, pa.string()) for c in cols}
     return pacsv.ConvertOptions(
@@ -101,16 +98,16 @@ def _table_file(feed_dir: Path, name: str) -> Path | None:
     return None
 
 
-def _read_dim(path: Path) -> pa.Table:
+def _read_table(path: Path, columns: list[str] | None = None) -> pa.Table:
     if path.suffix == ".parquet":
-        return pq.read_table(path)
-    from pyarrow import csv as pacsv
-
-    return pacsv.read_csv(path, convert_options=_csv_convert_options(path))
+        return pq.read_table(path, columns=columns)
+    # include_columns prunes DURING parsing — a fact table's unused
+    # columns (times, headsigns) are never tokenized
+    return pacsv.read_csv(path, convert_options=_csv_convert_options(path, columns))
 
 
 class GtfsContext:
-    """Holds lazy fact Datasets + broadcast dimension tables for one
+    """Holds the dimension tables and the memoised fact tables of one
     agency's feed directory."""
 
     def __init__(self, feed_dir: str | Path, start_date: str | None = None,
@@ -120,7 +117,7 @@ class GtfsContext:
         self.dims: dict[str, pa.Table] = {}
         for name in DIM_TABLES:
             p = None if name in exclude else _table_file(self.feed_dir, name)
-            self.dims[name] = _read_dim(p) if p is not None else None
+            self.dims[name] = _read_table(p) if p is not None else None
         # J5: service_id set from the calendar date-range scan
         # (reference src/lib/gtfs-to-geojson.ts:49-71)
         self.service_ids: list[str] | None = None
@@ -139,14 +136,11 @@ class GtfsContext:
         if trips is not None and self.service_ids is not None:
             trips = trips.filter(pc.is_in(trips["service_id"], pa.array(self.service_ids)))
         self.trips = trips
-        self._trips_ref = None
-        self._dim_refs: dict[str, "ray.ObjectRef"] = {}
-        # memo for distributed results keyed by query — several formats
-        # reuse the same stop/line pipelines (convex, buffer, dissolved
-        # all start from stops/lines), so each heavy Dataset executes once
+        # memo for fact tables and per-query results — several formats
+        # reuse the same stop/line reductions (convex, buffer, dissolved
+        # all start from stops/lines), so each one runs once
         self.cache: dict[tuple, object] = {}
 
-    # -- broadcast helpers ------------------------------------------------
     def _trips_dim(self) -> pa.Table:
         if self.trips is None:
             # fail loud with the table name instead of an opaque
@@ -156,39 +150,22 @@ class GtfsContext:
                 "(not found, or listed in the agency's exclude)")
         return self.trips
 
-    def trips_ref(self):
-        if self._trips_ref is None:
-            self._trips_ref = ray.put(self._trips_dim())
-        return self._trips_ref
-
-    def dim_ref(self, name: str):
-        if name not in self._dim_refs:
-            self._dim_refs[name] = ray.put(self.dims[name])
-        return self._dim_refs[name]
-
     # -- facts ------------------------------------------------------------
-    def _read_fact(self, name: str, columns: list[str]) -> rd.Dataset:
-        p = _table_file(self.feed_dir, name)
-        if p is None:
-            raise FileNotFoundError(f"no {name} table under {self.feed_dir}")
-        if p.suffix == ".parquet":
-            return rd.read_parquet(str(p), columns=columns)
-        from pyarrow import csv as pacsv
+    def _read_fact(self, name: str, columns: list[str]) -> pa.Table:
+        key = ("fact", name)
+        if key not in self.cache:
+            p = _table_file(self.feed_dir, name)
+            if p is None:
+                raise FileNotFoundError(f"no {name} table under {self.feed_dir}")
+            self.cache[key] = _read_table(p, columns)
+        return self.cache[key]
 
-        # include_columns prunes DURING parsing — the fact table's unused
-        # columns (times, headsigns) are never tokenized
-        return rd.read_csv(
-            str(p),
-            convert_options=_csv_convert_options(p, include_columns=columns),
-            parse_options=pacsv.ParseOptions(newlines_in_values=False),
-        )
+    def stop_times(self) -> pa.Table:
+        # the union of the columns lines (trip order) and stops (routes
+        # per stop) need, so the table is read once per context
+        return self._read_fact("stop_times", ["trip_id", "stop_id", "stop_sequence"])
 
-    def stop_times(self, columns: list[str] | None = None) -> rd.Dataset:
-        return self._read_fact(
-            "stop_times", columns or ["trip_id", "stop_id", "stop_sequence"]
-        )
-
-    def shapes(self) -> rd.Dataset:
+    def shapes(self) -> pa.Table:
         return self._read_fact(
             "shapes", ["shape_id", "shape_pt_lat", "shape_pt_lon", "shape_pt_sequence"]
         )
@@ -269,10 +246,16 @@ class GtfsContext:
         return self.cache["routes_map"]
 
 
-    def trips_for(self, route_id: str | None = None, direction_id: int | None = None) -> pa.Table:
+    def trips_for(self, route_id: str | None = None, direction_id: int | None = None,
+                  shape_id: str | None = None) -> pa.Table:
         t = self._trips_dim()
         if route_id is not None:
             t = t.filter(pc.equal(t["route_id"], route_id))
         if direction_id is not None:
             t = t.filter(pc.equal(t["direction_id"], direction_id))
+        if shape_id is not None:
+            # trips.shape_id is OPTIONAL per the GTFS spec: without the
+            # column no trip belongs to a shape
+            t = (t.filter(pc.equal(t["shape_id"], shape_id))
+                 if "shape_id" in t.column_names else t.slice(0, 0))
         return t

@@ -1,70 +1,57 @@
 """Route line assembly (reference O1-O3, src/lib/geojson-utils.ts:172-253).
 
-Ray-Data split: the per-shape / per-trip ordering reductions run
-distributed on the fact tables (``shapes``, ``stop_times``) via
-``groupby().map_groups`` — those are the rows that scale. The reduced
-result is dimension-scale (one row per shape / per trip), so route-level
-feature assembly finalizes driver-side with the broadcast dims, exactly
-the partial→final pattern of SURVEY §7.3.
+The per-shape / per-trip orderings over the fact tables (``shapes``,
+``stop_times``) are one stable Arrow sort each, cut into per-key runs;
+route-level feature assembly then finalizes with the dims.
 """
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 
 from geotile.geojson import feature, format_properties
 from geotile.ops.gtfs import GtfsContext
 
 
-def _sorted_coords_per_shape(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.sort_values("shape_pt_sequence", kind="stable")
-    coords = np.column_stack([df["shape_pt_lon"].to_numpy(), df["shape_pt_lat"].to_numpy()])
-    return pd.DataFrame(
-        {"shape_id": [df["shape_id"].iloc[0]], "coords_json": [json.dumps(coords.tolist())]}
-    )
+def _key_runs(t: pa.Table, key: str, seq: str) -> tuple[pa.Table, dict[str, slice]]:
+    """``t`` sorted by (key, seq) — the reference's per-key ORDER BY seq
+    — and each key's row slice in it. The sort is stable, so rows tied
+    on seq keep their file order."""
+    t = t.take(pc.sort_indices(t, [(key, "ascending"), (seq, "ascending")]))
+    keys = t[key].to_numpy()
+    if not len(keys):
+        return t, {}
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    ends = np.r_[starts[1:], len(keys)]
+    return t, {keys[a]: slice(a, b) for a, b in zip(starts, ends)}
 
 
-def shape_linestrings(ctx: GtfsContext, shape_ids: set[str]) -> list[dict]:
-    """Distributed per-shape point ordering: groupby(shape_id) →
-    in-group sort by shape_pt_sequence (reference relies on node-gtfs
-    ORDER BY, src/lib/geojson-utils.ts:210). Returns per-shape rows
-    (dimension-scale)."""
+def shape_linestrings(ctx: GtfsContext, shape_ids: set[str]) -> dict[str, list]:
+    """{shape_id: [[lon, lat], ...]} in shape_pt_sequence order
+    (reference relies on node-gtfs ORDER BY, src/lib/geojson-utils.ts:210)."""
     if not shape_ids:
-        return []
-    import pyarrow as pa
-
-    ids = pa.array(sorted(shape_ids))
-    ds = ctx.shapes().map_batches(
-        lambda t: t.filter(pc.is_in(t["shape_id"], ids)), batch_format="pyarrow"
-    )
-    rows = (
-        ds.groupby("shape_id")
-        .map_groups(_sorted_coords_per_shape, batch_format="pandas")
-        .take_all()
-    )
-    return rows
+        return {}
+    t = ctx.shapes()
+    t = t.filter(pc.is_in(t["shape_id"], pa.array(list(shape_ids))))
+    t, runs = _key_runs(t, "shape_id", "shape_pt_sequence")
+    xy = np.column_stack([t["shape_pt_lon"].to_numpy(), t["shape_pt_lat"].to_numpy()]).tolist()
+    return {sid: xy[run] for sid, run in runs.items()}
 
 
 def route_shape_map(ctx: GtfsContext, query: dict) -> dict[str, list[str]]:
     """Distinct route_id → [shape_id] from the (service-filtered) trips
     dim, narrowed by the query (route_id / direction_id / shape_id)."""
-    t = ctx._trips_dim()
-    if "shape_id" not in t.column_names:
+    if "shape_id" not in ctx._trips_dim().column_names:
         # trips.shape_id is OPTIONAL per the GTFS spec: a feed without
         # the column has no shapes mapping at all -> the stop-order
         # fallback path takes over (same as an all-null column)
         return {}
-    if query.get("route_id") is not None:
-        t = t.filter(pc.equal(t["route_id"], query["route_id"]))
-    if query.get("direction_id") is not None:
-        t = t.filter(pc.equal(t["direction_id"], query["direction_id"]))
-    if query.get("shape_id") is not None:
-        t = t.filter(pc.equal(t["shape_id"], query["shape_id"]))
+    t = ctx.trips_for(query.get("route_id"), query.get("direction_id"),
+                      query.get("shape_id"))
     out: dict[str, list[str]] = defaultdict(list)
     # drop null shape_ids BEFORE sorting — None < str raises, and a
     # shapeless trip contributes nothing to the shapes join anyway
@@ -97,8 +84,7 @@ def shape_line_features(ctx: GtfsContext, query: dict) -> list[dict]:
     all_sids = {s for sids in rmap.values() for s in sids}
     if not all_sids:
         return []
-    shape_rows = {r["shape_id"]: json.loads(r["coords_json"])
-                  for r in shape_linestrings(ctx, all_sids)}
+    shape_rows = shape_linestrings(ctx, all_sids)
     feats = []
     for rid in sorted(rmap):
         coords = [shape_rows[s] for s in sorted(set(rmap[rid])) if s in shape_rows]
@@ -112,31 +98,16 @@ def shape_line_features(ctx: GtfsContext, query: dict) -> list[dict]:
 # stop-order fallback (reference O1/O2: toposort, else longest trip)
 # ---------------------------------------------------------------------------
 
-def _trip_stop_sequence(df: pd.DataFrame) -> pd.DataFrame:
-    df = df.sort_values("stop_sequence", kind="stable")
-    return pd.DataFrame(
-        {
-            "trip_id": [df["trip_id"].iloc[0]],
-            "stop_ids_json": [json.dumps(df["stop_id"].tolist())],
-        }
-    )
-
-
 def trip_stop_sequences(ctx: GtfsContext, trip_ids: list[str]) -> dict[str, list[str]]:
-    """Distributed per-trip stoptime ordering (reference getStoptimes
-    ORDER BY stop_sequence ASC, src/lib/geojson-utils.ts:176-180)."""
+    """{trip_id: [stop_id, ...]} in stop_sequence order (reference
+    getStoptimes ORDER BY stop_sequence ASC, src/lib/geojson-utils.ts:176-180)."""
     if not trip_ids:
         return {}
-    import pyarrow as pa
-
-    ids = pa.array(sorted(trip_ids))
-    ds = ctx.stop_times().map_batches(
-        lambda t: t.filter(pc.is_in(t["trip_id"], ids)), batch_format="pyarrow"
-    )
-    rows = (
-        ds.groupby("trip_id").map_groups(_trip_stop_sequence, batch_format="pandas").take_all()
-    )
-    return {r["trip_id"]: json.loads(r["stop_ids_json"]) for r in rows}
+    t = ctx.stop_times()
+    t = t.filter(pc.is_in(t["trip_id"], pa.array(trip_ids)))
+    t, runs = _key_runs(t, "trip_id", "stop_sequence")
+    stop_ids = t["stop_id"].to_pylist()
+    return {tid: stop_ids[run] for tid, run in runs.items()}
 
 
 def toposort_stops(trip_sequences: list[list[str]]) -> list[str]:
@@ -203,7 +174,7 @@ def fallback_line_features(ctx: GtfsContext, query: dict) -> list[dict]:
             stops["stop_lat"].to_pylist(),
         )
     }
-    # one distributed pass fetches ordered stoptimes for every needed trip
+    # one sort orders the stoptimes of every needed trip
     all_tids = sorted(
         t
         for rid in routes["route_id"].to_pylist()

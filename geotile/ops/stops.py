@@ -5,21 +5,19 @@ The "spatial join analog" of the reference: stops ⋈ stop_times ⋈ trips
 unused stops (README.md:231) but keeping parent stations of used stops
 (observed in examples/stops.geojson: place_SANL with ``"routes": {}``).
 
-Ray-Data shape: ``stop_times`` is the fact → ``map_batches`` attaches
-route/direction via the broadcast trips dim and pre-dedups per batch
-(partial aggregation), then ONE ``groupby(stop_id)`` shuffle reduces to
-distinct route lists. Stop/route property decoration happens driver-side
-on the dimension-scale result.
+The join is in-process Arrow: ``stop_times`` gets each row's route
+through an ``index_in``/``take`` against the query-filtered trips, then
+one ``group_by`` distinct + sort yields the route lists. Stop/route
+property decoration runs on that dimension-scale result.
 """
 
 from __future__ import annotations
 
-import json
+from collections import defaultdict
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 
 from geotile.geojson import feature, format_properties
 from geotile.ops.gtfs import GtfsContext
@@ -38,80 +36,31 @@ _ROUTE_EMBED_FIELDS = (
 )
 
 
-class _AttachRoutes:
-    """Per-worker cached stage: holds the broadcast trip→route lookup
-    (as parallel Arrow arrays) and emits per-batch deduped (stop_id,
-    route_id) pairs — vectorized index_in gather + group_by distinct,
-    no per-row Python on the stop_times fact."""
-
-    def __init__(self, trips_ref, route_id=None, direction_id=None,
-                 shape_id=None):
-        import pyarrow.compute as pc
-
-        trips: pa.Table = ray.get(trips_ref)
-        if route_id is not None:
-            trips = trips.filter(pc.equal(trips["route_id"], route_id))
-        if direction_id is not None:
-            trips = trips.filter(pc.equal(trips["direction_id"], direction_id))
-        if shape_id is not None:
-            # shape-scoped stop queries resolve through the shape's
-            # trips, as node-gtfs getStops does for its join-key params
-            # (reference formats pass {shape_id} for outputType=shape);
-            # trips without the optional shape_id column match nothing
-            if "shape_id" in trips.column_names:
-                trips = trips.filter(pc.equal(trips["shape_id"], shape_id))
-            else:
-                trips = trips.slice(0, 0)
-        self.trip_ids = trips["trip_id"].combine_chunks()
-        self.route_ids = trips["route_id"].combine_chunks()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.index_in(batch["trip_id"], self.trip_ids)
-        hit = pc.is_valid(idx)
-        pairs = pa.table(
-            {
-                "stop_id": batch["stop_id"].filter(hit),
-                "route_id": pc.take(self.route_ids, idx.filter(hit)),
-            }
-        )
-        return pairs.group_by(["stop_id", "route_id"]).aggregate([])
-
-
-def _distinct_routes(df: pd.DataFrame) -> pd.DataFrame:
-    rids = sorted(set(df["route_id"].tolist()))
-    return pd.DataFrame(
-        {"stop_id": [df["stop_id"].iloc[0]], "route_ids_json": [json.dumps(rids)]}
-    )
-
-
 def stop_route_lists(ctx: GtfsContext, query: dict) -> dict[str, list[str]]:
-    """Distributed stop→routes aggregation; returns {stop_id: [route_id]}
-    for used stops only."""
+    """{stop_id: [route_id, ...]} (distinct, sorted) for used stops only."""
     key = ("stop_route_lists", query.get("route_id"),
            query.get("direction_id"), query.get("shape_id"))
     if key in ctx.cache:
         return ctx.cache[key]
-    from geotile.ops.join import _cached_stage
-
-    ds = ctx.stop_times(columns=["trip_id", "stop_id"])
-    tref = ctx.trips_ref()
-    rid, did = query.get("route_id"), query.get("direction_id")
-    sid = query.get("shape_id")
-
-    def attach_fn(batch: pa.Table) -> pa.Table:
-        # stateless task + per-worker cached stage (no actor pool)
-        return _cached_stage(
-            ("stoproutes", tref.hex(), rid, did, sid),
-            lambda: _AttachRoutes(tref, rid, did, sid)
-        )(batch)
-
-    ds = ds.map_batches(attach_fn, batch_format="pyarrow")
-    rows = ds.groupby("stop_id").map_groups(_distinct_routes, batch_format="pandas").take_all()
-    out = {r["stop_id"]: json.loads(r["route_ids_json"]) for r in rows}
-    ctx.cache[key] = out
-    return out
+    # shape-scoped stop queries resolve through the shape's trips, as
+    # node-gtfs getStops does for its join-key params (reference formats
+    # pass {shape_id} for outputType=shape)
+    trips = ctx.trips_for(query.get("route_id"), query.get("direction_id"),
+                          query.get("shape_id"))
+    st = ctx.stop_times()
+    idx = pc.index_in(st["trip_id"], trips["trip_id"].combine_chunks())
+    hit = pc.and_(pc.is_valid(idx), pc.is_valid(st["stop_id"]))
+    pairs = pa.table({
+        "stop_id": st["stop_id"].filter(hit),
+        "route_id": trips["route_id"].take(idx.filter(hit)),
+    })
+    pairs = pairs.group_by(["stop_id", "route_id"]).aggregate([]).sort_by(
+        [("stop_id", "ascending"), ("route_id", "ascending")])
+    out: dict[str, list[str]] = defaultdict(list)
+    for sid, rid in zip(pairs["stop_id"].to_pylist(), pairs["route_id"].to_pylist()):
+        out[sid].append(rid)
+    ctx.cache[key] = dict(out)
+    return ctx.cache[key]
 
 
 def _used_stop_ids(stops: dict[str, dict], used: dict) -> list[str]:

@@ -4,8 +4,7 @@ Per agency: build a GtfsContext (import stage analog), prep the output
 directory, fan out by outputType (agency / route / shape), write one
 ``.geojson`` per output unit plus a ``log.txt`` metrics file, optionally
 zip. Fan-out units map to queries exactly like the reference's loops
-(§3.1-3.3); each query's heavy lifting runs as Ray Data stages inside
-the ops modules.
+(§3.1-3.3); each query runs in-process on the context's Arrow tables.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ import re
 import shutil
 import zipfile
 from pathlib import Path
+
+import pyarrow.compute as pc
 
 from geotile.config import PipelineConfig
 from geotile.formats import get_geojson_by_format
@@ -79,9 +80,10 @@ def build_geojson(ctx: GtfsContext, config: PipelineConfig, output_path: Path,
     base_query: dict = {}
     if config.output_type == "shape":
         if ctx.has_shapes_file():
-            # distributed distinct over the shapes fact (SELECT DISTINCT
-            # shape_id, reference src/lib/gtfs-to-geojson.ts:132)
-            shape_ids = sorted(ctx.shapes().unique("shape_id"))
+            # SELECT DISTINCT shape_id (reference
+            # src/lib/gtfs-to-geojson.ts:132); a row with an empty
+            # shape_id belongs to no shape
+            shape_ids = sorted(pc.unique(ctx.shapes()["shape_id"].drop_null()).to_pylist())
         else:
             trips = ctx.dims.get("trips")
             has_col = trips is not None and "shape_id" in trips.column_names

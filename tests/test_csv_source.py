@@ -51,8 +51,8 @@ def test_zip_source_matches_parquet_goldens(ray_session, zip_path, monkeypatch, 
 
 def test_csv_fact_tables_stream(ray_session, csv_dir):
     ctx = GtfsContext(csv_dir)
-    assert ctx.stop_times().count() > 0
-    assert ctx.shapes().count() > 0
+    assert ctx.stop_times().num_rows > 0
+    assert ctx.shapes().num_rows > 0
     assert ctx.has_shapes_file()
 
 

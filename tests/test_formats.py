@@ -43,6 +43,37 @@ class TestGoldens:
         expect = (GOLDEN_DIR / f"{fmt}.geojson").read_text()
         assert got == expect, f"{fmt} output drifted from committed golden"
 
+    def test_pipeline_runs_without_ray(self, caltrain_dir, tmp_path):
+        """All nine formats through run_pipeline in a fresh interpreter:
+        byte-equal to the goldens, and Ray never started — the feed side
+        is in-process Arrow, so no Ray Data job (and its per-job start
+        cost) comes back unnoticed."""
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import ray\n"
+            "from geotile.config import AgencyConfig, PipelineConfig\n"
+            "from geotile.formats import FORMATS\n"
+            "from geotile.pipeline import run_pipeline\n"
+            "feed, out, golden = map(Path, sys.argv[1:])\n"
+            "for fmt in sorted(FORMATS):\n"
+            "    run_pipeline(PipelineConfig(\n"
+            "        agencies=[AgencyConfig(agency_key='ct', path=str(feed))],\n"
+            "        coordinate_precision=5, output_format=fmt, verbose=False,\n"
+            "        output_path=str(out / fmt)))\n"
+            "    got = (out / fmt / 'ct.geojson').read_bytes()\n"
+            "    assert got == (golden / f'{fmt}.geojson').read_bytes(), fmt\n"
+            "assert not ray.is_initialized(), 'a Ray job ran on the feed side'\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        res = subprocess.run(
+            [sys.executable, "-c", script, str(caltrain_dir), str(tmp_path), str(GOLDEN_DIR)],
+            cwd=root, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+
 
 class TestRouteGoldens:
     def test_route_output_matches_goldens(self, ray_session, caltrain_dir, tmp_path):
