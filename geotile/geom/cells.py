@@ -78,6 +78,15 @@ def encode(lon, lat, res: int) -> np.ndarray:
     return code | (np.uint64(res) << RES_SHIFT)
 
 
+def valid_lonlat(lon, lat) -> np.ndarray:
+    """Rows ``encode`` places without clamping: lon in [-180, 180] and
+    lat in [-90, 90]. NaN and ±inf compare False, so they are invalid
+    too. ``encode`` clamps an invalid row into an edge cell, where a
+    join or a count would accept it silently — stages drop these rows
+    first."""
+    return (lon >= -180.0) & (lon <= 180.0) & (lat >= -90.0) & (lat <= 90.0)
+
+
 def from_ixy(ix: np.ndarray, iy: np.ndarray, res: int) -> np.ndarray:
     code = _spread(np.asarray(ix, dtype=np.uint64)) | (
         _spread(np.asarray(iy, dtype=np.uint64)) << np.uint64(1)

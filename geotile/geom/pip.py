@@ -2,8 +2,8 @@
 
 Replaces the PIP work @turf does implicitly inside the reference's
 buffer/union/convex calls, and is the exact-test half of the graft's
-STRtree/cell-index accelerated spatial join (candidates come from the
-cell index, exactness from here).
+cell-index accelerated spatial join (candidates come from the cell
+index, exactness from here).
 
 Even-odd rule over ALL rings of a polygon at once handles holes
 automatically (a point inside a hole crosses an even number of edges).
@@ -34,9 +34,8 @@ def _edges(rings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 def points_in_polygon(
     px: np.ndarray,
     py: np.ndarray,
-    rings: list[np.ndarray] | None,
+    rings: list[np.ndarray],
     chunk: int = 1 << 22,
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Boolean mask: point i is inside the polygon defined by ``rings``
     (ring 0 = outer, rest = holes; each ring is an (n, 2) array, closed
@@ -47,7 +46,7 @@ def points_in_polygon(
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
-    x1, y1, x2, y2 = edges if edges is not None else _edges(rings)
+    x1, y1, x2, y2 = _edges(rings)
     if len(x1) == 0 or len(px) == 0:
         return np.zeros(len(px), dtype=bool)
     inside = np.zeros(len(px), dtype=bool)

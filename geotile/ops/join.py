@@ -1,5 +1,5 @@
 """The graft flagship: H3-style cell-indexed spatial join of image tiles
-against route buffer polygons, plus kNN and skew-salted cell aggregation.
+against route buffer polygons, plus kNN and per-cell tile counts.
 
 North-star shape (BASELINE.json): tile centroids (the "stops" of the
 reference's stop→route assignment, SURVEY §2.4 J1) are cell-encoded per
@@ -8,8 +8,11 @@ built ONCE per actor (``ray.put`` on the driver, ``ray.get`` in
 ``__init__``), and the exact even-odd PIP test runs vectorized on the
 candidates. No shuffle touches the 10^12-row side: the polygon side is
 dimension-scale and broadcast, which is the explicit skew strategy for
-the join itself; the per-cell aggregation demonstrates two-level
-salted reduction for the wide step.
+the join itself; the per-cell counts combine per block and merge in a
+two-level tree.
+
+Rows whose lon/lat ``cells.encode`` would clamp into an edge cell (NaN,
+infinite or out of range) never join and never count.
 
 Join resolution: cells are dilated one ring at build time so candidate
 pruning has NO false negatives (verified in tests against a brute-force
@@ -32,7 +35,6 @@ from geotile.geom import cells
 from geotile.geom.buffer import meter_frame
 from geotile.geom.pip import points_in_polygon, points_to_polyline_distance
 from geotile.geom.raster import polygon_cover_cells
-from geotile.geom.strtree import STRtree
 from geotile.ops.tiles import georef_batch
 
 DEFAULT_JOIN_RES = 18  # ~120m × 76m cells: fine enough that most cover
@@ -98,7 +100,7 @@ class BoundaryPip:
 
 @dataclass
 class RouteIndex:
-    """Broadcastable cell→polygon index + STRtree + raw rings.
+    """Broadcastable cell→polygon index + raw rings.
 
     polygons[i] = list of rings (outer + holes) as float64 arrays;
     poly_route[i] = route_id. CSR layout: for sorted unique cell key
@@ -114,10 +116,7 @@ class RouteIndex:
     cell_offsets: np.ndarray
     cell_polys: np.ndarray
     cell_full: np.ndarray = field(default=None)  # parallel to cell_polys: fully-inside flag
-    poly_edges: list[tuple] = field(default=None)  # full-ring PIP edge arrays (fallback/tests)
     boundary_pip: list[BoundaryPip] = field(default=None)  # grid-localized PIP per polygon
-    bboxes: np.ndarray = field(default=None)
-    tree: STRtree = field(default=None)
 
     def candidates(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(point_idx, poly_idx, fully_inside) candidate pairs for a
@@ -209,7 +208,7 @@ def build_route_index(
 ) -> RouteIndex:
     """Driver-side build (the polygon side is dimension-scale): cover
     cells per polygon, dilated one k-ring so centroid candidates are a
-    superset of true hits; CSR-pack cell→polys; STRtree over bboxes."""
+    superset of true hits; CSR-pack cell→polys."""
     route_ids = sorted(route_polygons)
     polygons: list[list[np.ndarray]] = []
     poly_route: list[int] = []
@@ -237,16 +236,6 @@ def build_route_index(
     cell_all, poly_all, full_all = cell_all[order], poly_all[order], full_all[order]
     keys, starts = np.unique(cell_all, return_index=True)
     offsets = np.concatenate([starts, [len(cell_all)]]).astype(np.int64)
-    bboxes = np.array(
-        [
-            [p[0][:, 0].min(), p[0][:, 1].min(), p[0][:, 0].max(), p[0][:, 1].max()]
-            for p in polygons
-        ]
-        if polygons
-        else np.empty((0, 4))
-    )
-    from geotile.geom.pip import _edges
-
     return RouteIndex(
         boundary_pip=boundary_pips,
         res=res,
@@ -257,9 +246,6 @@ def build_route_index(
         cell_offsets=offsets,
         cell_polys=poly_all,
         cell_full=full_all,
-        poly_edges=[_edges(p) for p in polygons],
-        bboxes=bboxes,
-        tree=STRtree(bboxes) if len(bboxes) else None,
     )
 
 
@@ -311,8 +297,9 @@ class SpatialJoinStage:
     Used as a plain function over batches (fused with the read, no
     reserved CPUs); the broadcast index is fetched once per worker
     process via ``_get_broadcast`` (zero-copy numpy out of plasma).
-    ``__call__`` is batch-vectorized: derive georef → cell lookup
-    (searchsorted CSR) → exact PIP on boundary candidates only.
+    ``__call__`` is batch-vectorized: derive georef → drop invalid
+    coordinates → cell lookup (searchsorted CSR) → exact PIP on boundary
+    candidates only.
     """
 
     def __init__(self, index_ref):
@@ -324,7 +311,13 @@ class SpatialJoinStage:
         lon = geo["lon"].to_numpy()
         lat = geo["lat"].to_numpy()
         cell = geo["cell"].to_numpy().view(np.uint64)
-        pt, pl, full = idxd.candidates(cell)
+        valid = cells.valid_lonlat(lon, lat)
+        if valid.all():
+            pt, pl, full = idxd.candidates(cell)
+        else:
+            rows = np.flatnonzero(valid)
+            pt, pl, full = idxd.candidates(cell[rows])
+            pt = rows[pt]
         keep_pt: list[np.ndarray] = []
         keep_route: list[np.ndarray] = []
         if len(pt):
@@ -370,16 +363,11 @@ class SpatialJoinStage:
         )
 
 
-def spatial_join(
-    ds: rd.Dataset,
-    index: RouteIndex,
-    batch_size: int | None = None,
-    concurrency: int | tuple | None = None,
-) -> rd.Dataset:
+def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
     """The join pipeline stage. Pass a Dataset read with ONLY the join
-    columns (image_id, caption) — bytes must be pruned at the read.
+    columns (``JOIN_COLUMNS``) — bytes must be pruned at the read.
 
-    ``batch_size=None`` (whole read blocks) keeps the join FUSED with
+    Whole read blocks as batches keep the join FUSED with
     the read: a fixed batch size forces a rebatch boundary, doubling
     scheduled tasks (measured 6.1s vs 7.4s min over alternating A/B at
     sf0.1×96/32cpu). The kernel is two narrow columns wide, so
@@ -401,7 +389,7 @@ def spatial_join(
     return ds.map_batches(
         join_fn,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     )
 
@@ -629,8 +617,7 @@ class KnnStage:
         n = len(px)
         n_routes = len(self.route_ids)
         D = np.empty((n, n_routes), np.float64)
-        in_range = ((lon >= -180.0) & (lon <= 180.0)
-                    & (lat >= -90.0) & (lat <= 90.0))
+        in_range = cells.valid_lonlat(lon, lat)
         if not in_range.all():
             bad = np.flatnonzero(~in_range)
             for j in range(n_routes):
@@ -779,13 +766,12 @@ class KnnStage:
 
 
 def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3,
-               batch_size: int | None = None, concurrency=None,
                ring_threshold: int = KNN_RING_THRESHOLD,
                ring_res: int = KNN_RING_RES) -> rd.Dataset:
-    """Stateless-task kNN stage (same broadcast/caching discipline as
-    spatial_join; ``concurrency`` retained for API compat, unused).
-    Pass an ``ObjectRef`` to broadcast ONCE across checkpointed
-    per-partition invocations (mirrors spatial_join's contract)."""
+    """Stateless-task kNN stage over whole read blocks (same
+    broadcast/caching discipline as spatial_join). Pass an ``ObjectRef``
+    to broadcast ONCE across checkpointed per-partition invocations
+    (mirrors spatial_join's contract)."""
     ref = (route_lines if isinstance(route_lines, ray.ObjectRef)
            else ray.put(route_lines))
 
@@ -798,14 +784,17 @@ def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3,
     return ds.map_batches(
         knn_fn,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# skew-salted per-cell aggregation (the wide step)
+# per-cell tile counts (the wide step)
 # ---------------------------------------------------------------------------
+
+CELL_COUNT_RES = 12  # ~7.8 km × 4.9 km cells at the corridor's latitude
+
 
 def _unique_counts_u64(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(return_counts) replacement for clustered uint64 keys:
@@ -836,14 +825,14 @@ def _merge_cell_counts(t: pa.Table) -> pa.Table:
     return pa.table({"cell": pa.array(uniq.view(np.int64)), "n": pa.array(s)})
 
 
-def _partial_cell_counts(batch: pa.Table, coarse_res: int, salt: int) -> pa.Table:
-    from geotile.synth import image_index, splitmix64, tile_centers
+def _partial_cell_counts(batch: pa.Table) -> pa.Table:
+    from geotile.synth import image_index, tile_centers
 
-    # encode at coarse_res DIRECTLY: floor(x/(k·step)) == floor(floor(x/step)/k)
-    # for the power-of-two lattice, so this equals parent(encode(·, res),
-    # coarse_res) while skipping the fine Morton interleave.  Stored
-    # footprint columns win over re-deriving placement when the read
-    # carries them (same contract as georef_batch)
+    # encode at CELL_COUNT_RES DIRECTLY: floor(x/(k·step)) ==
+    # floor(floor(x/step)/k) for the power-of-two lattice, so this equals
+    # parent(encode(·, res), CELL_COUNT_RES) while skipping the fine
+    # Morton interleave.  Stored footprint columns win over re-deriving
+    # placement when the read carries them (same contract as georef_batch)
     names = batch.column_names
     if "lon" in names and "lat" in names:
         lon = batch["lon"].to_numpy(zero_copy_only=False)
@@ -851,64 +840,41 @@ def _partial_cell_counts(batch: pa.Table, coarse_res: int, salt: int) -> pa.Tabl
     else:
         idx = image_index(batch["image_id"])
         lon, lat = tile_centers(idx.astype(np.uint64))
-    coarse = cells.encode(lon, lat, coarse_res)
-    uniq, counts = _unique_counts_u64(coarse)
-    # salt spreads ONE hot key's partial rows over `salt` reducers: the
-    # salt must vary per BATCH (not per key — a key-derived salt maps a
-    # hot key's rows to the same reducer and is a no-op), so derive it
-    # from the batch's first row index (deterministic, batch-unique)
-    if salt > 1 and len(batch):
-        first = image_index(batch["image_id"].slice(0, 1).to_numpy(zero_copy_only=False))
-        sv = int(splitmix64(first.astype(np.uint64))[0] % np.uint64(salt))
-    else:
-        sv = 0
-    s = np.full(len(uniq), sv, dtype=np.int64)
+    valid = cells.valid_lonlat(lon, lat)
+    if not valid.all():
+        lon, lat = lon[valid], lat[valid]
+    uniq, counts = _unique_counts_u64(cells.encode(lon, lat, CELL_COUNT_RES))
     return pa.table(
         {
             "cell": pa.array(uniq.view(np.int64)),
-            "salt": pa.array(s),
             "n": pa.array(counts.astype(np.int64)),
         }
     )
 
 
-def cell_tile_counts(
-    ds: rd.Dataset, res: int = DEFAULT_JOIN_RES, coarse_res: int = 12, salt: int = 8,
-    batch_size: int | None = None, coalesce: int | None = None,
-    reduce: str = "tree",
-) -> rd.Dataset:
-    """Tiles per coarse cell. ``res`` is accepted for API symmetry with
-    the join but does NOT affect the result: the combiner encodes at
-    ``coarse_res`` directly (floor(x/(k·step)) == floor(floor(x/step)/k)
-    on the power-of-two lattice, so the fine-res Morton interleave is
-    skipped entirely).
+def cell_tile_counts(ds: rd.Dataset) -> rd.Dataset:
+    """Tiles per ``CELL_COUNT_RES`` cell: per-batch partial counts (the
+    combiner — each batch emits ≤ #unique cells rows), then a two-level
+    tree reduce over the KB-scale partials.
 
-    Per-batch partial aggregation (the combiner
-    — each batch emits ≤ #unique cells rows), then a reduce over the
-    KB-scale partials. The all-to-all only ever moves partial counts.
+    Whole read blocks as batches keep the combiner FUSED with the read —
+    a fixed batch size forces a rebatch boundary and doubles the
+    scheduled task count, which dominated this stage's wall time (15.2s
+    → 10.9s at sf0.1/32cpu).
 
-    ``batch_size=None`` (whole read blocks) keeps the combiner FUSED
-    with the read — a fixed batch size forces a rebatch boundary and
-    doubles the scheduled task count, which dominated this stage's wall
-    time (15.2s → 10.9s at sf0.1/32cpu).
-
-    ``reduce="tree"`` (default): two-level repartition + numpy merge —
-    no sort-based shuffle at all. Level 1 coalesces the per-block
-    partials into ``coalesce`` blocks and merges each with a bincount;
-    level 2 merges those into the final table in one task. Measured
-    6.3s → 4.8s at sf0.1×96/32cpu vs the groupby path — the sort
-    machinery was pure overhead on post-combiner data. Cardinality
-    contract: the level-2 block holds ``coalesce × distinct_cells``
-    rows, so this path assumes DIMENSION-SCALE distinct coarse cells
-    (an ROI-bounded corpus — thousands, not millions). For planetary
-    cell cardinality pass ``reduce="groupby"``: the salted two-level
-    groupby bounds every task's input regardless of #cells.
+    The reduce is two repartitions + a numpy merge, no sort-based
+    shuffle: level 1 coalesces the per-block partials into half as many
+    blocks as the cluster has CPUs (at least 8) and merges each with a
+    bincount; level 2 merges those into the final table in one task.
+    Measured 6.3s → 4.8s at sf0.1×96/32cpu against a salted groupby.
+    Cardinality contract: the level-2 block holds ``coalesce ×
+    distinct_cells`` rows, so this assumes DIMENSION-SCALE distinct
+    coarse cells (an ROI-bounded corpus — thousands, not millions).
     """
-    tree = reduce == "tree"
     partial = ds.map_batches(
-        lambda b: _partial_cell_counts(b, coarse_res, 1 if tree else salt),
+        _partial_cell_counts,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         zero_copy_batch=True,
     )
     # coalesce the (tiny) partials into few blocks: a reduce's cost
@@ -917,23 +883,11 @@ def cell_tile_counts(
     # partials costs ~0.4s flat. Unconditional — an input-row count
     # estimate via ds.count() would EXECUTE any lazy upstream transforms
     # once before map_batches executes them again (ADVICE r2).
-    if coalesce is None:
-        coalesce = max(8, int(ray.cluster_resources().get("CPU", 16)) // 2)
-    if tree:
-        lvl1 = partial.repartition(coalesce).map_batches(_merge_cell_counts, batch_format="pyarrow")
-        out = lvl1.repartition(1).map_batches(
-            _merge_cell_counts, batch_format="pyarrow"
-        )
-        return out.map_batches(
-            lambda t: t.rename_columns(["cell", "n_tiles"]), batch_format="pyarrow"
-        )
-    partial = partial.repartition(coalesce)
-    lvl1 = partial.groupby(["cell", "salt"]).sum("n")
-    lvl1 = lvl1.map_batches(
-        lambda t: t.select(["cell", "sum(n)"]).rename_columns(["cell", "n"]),
-        batch_format="pyarrow",
+    coalesce = max(8, int(ray.cluster_resources().get("CPU", 16)) // 2)
+    lvl1 = partial.repartition(coalesce).map_batches(_merge_cell_counts, batch_format="pyarrow")
+    out = lvl1.repartition(1).map_batches(
+        _merge_cell_counts, batch_format="pyarrow"
     )
-    out = lvl1.groupby("cell").sum("n")
     return out.map_batches(
         lambda t: t.rename_columns(["cell", "n_tiles"]), batch_format="pyarrow"
     )

@@ -22,7 +22,6 @@ from geotile.geom.raster import (
     trace_mask,
 )
 from geotile.geom.rdp import rdp, rdp_ring, round_coords
-from geotile.geom.strtree import STRtree
 
 RNG = np.random.default_rng(42)
 
@@ -269,46 +268,6 @@ class TestRaster:
             centroid - pts + 1e-12
         ).clip(min=1e-9)
         assert points_in_polygon(shrink[:, 0], shrink[:, 1] * sy, [polys[0][0]]).all()
-
-
-class TestSTRtree:
-    def test_vs_bruteforce_box(self):
-        boxes = np.sort(RNG.uniform(0, 100, (300, 4)).reshape(300, 2, 2), axis=1).reshape(300, 4)[
-            :, [0, 2, 1, 3]
-        ]
-        tree = STRtree(boxes)
-        for _ in range(20):
-            q = np.sort(RNG.uniform(0, 100, 4).reshape(2, 2), axis=0).ravel()[[0, 2, 1, 3]]
-            got = set(tree.query_box(*q).tolist())
-            exp = {
-                i
-                for i, b in enumerate(boxes)
-                if not (b[2] < q[0] or b[0] > q[2] or b[3] < q[1] or b[1] > q[3])
-            }
-            assert got == exp
-
-    def test_vs_bruteforce_points(self):
-        boxes = np.sort(RNG.uniform(0, 50, (123, 4)).reshape(123, 2, 2), axis=1).reshape(123, 4)[
-            :, [0, 2, 1, 3]
-        ]
-        tree = STRtree(boxes)
-        px = RNG.uniform(0, 50, 500)
-        py = RNG.uniform(0, 50, 500)
-        pi, bi = tree.query_points(px, py)
-        got = set(zip(pi.tolist(), bi.tolist()))
-        exp = {
-            (i, j)
-            for i in range(500)
-            for j, b in enumerate(boxes)
-            if b[0] <= px[i] <= b[2] and b[1] <= py[i] <= b[3]
-        }
-        assert got == exp
-
-    def test_empty(self):
-        tree = STRtree(np.empty((0, 4)))
-        assert len(tree.query_box(0, 0, 1, 1)) == 0
-        pi, bi = tree.query_points(np.array([1.0]), np.array([1.0]))
-        assert len(pi) == 0
 
 
 class TestBuffer:

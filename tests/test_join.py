@@ -1,6 +1,6 @@
 """Graft tests: cell-indexed spatial join vs brute-force oracle, kNN vs
-exact oracle, salted cell counts, FC assembly, image decode invariants,
-and checkpoint/resume."""
+exact oracle, cell counts, FC assembly, image decode invariants,
+invalid coordinates, and checkpoint/resume."""
 
 import json
 
@@ -45,7 +45,7 @@ def index(polys):
 @pytest.fixture(scope="module")
 def joined_df(ray_session, image_table_dir, index):
     ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-    return spatial_join(ds, index, concurrency=2).to_pandas()
+    return spatial_join(ds, index).to_pandas()
 
 
 class TestSpatialJoin:
@@ -104,7 +104,7 @@ class TestKnn:
         lines = route_polylines(ctx)
         k = 2
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS).limit(200)
-        got = knn_routes(ds, lines, k=k, concurrency=2).to_pandas()
+        got = knn_routes(ds, lines, k=k).to_pandas()
         assert len(got) == 200 * k
         # exact distances per route in the same meter frame
         from geotile.ops.join import _ANCHOR_LAT, _ANCHOR_LON
@@ -153,7 +153,7 @@ class TestUniqueCountsU64:
 class TestCellCounts:
     def test_total_and_skew(self, ray_session, image_table_dir):
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-        df = cell_tile_counts(ds, coarse_res=12, salt=8).to_pandas()
+        df = cell_tile_counts(ds).to_pandas()
         assert df.n_tiles.sum() == N_IMG
         # the hot-stop cluster concentrates ~20% in one coarse cell
         assert df.n_tiles.max() > 0.1 * N_IMG
@@ -166,11 +166,6 @@ class TestCellCounts:
         oracle = dict(zip(uniq.view(np.int64).tolist(), counts.tolist()))
         got = dict(zip(df.cell.tolist(), df.n_tiles.tolist()))
         assert got == oracle
-        # the salted-groupby scale path (unbounded cell cardinality)
-        # produces the identical table
-        df2 = cell_tile_counts(ds, coarse_res=12, salt=8, reduce="groupby").to_pandas()
-        got2 = dict(zip(df2.cell.tolist(), df2.n_tiles.tolist()))
-        assert got2 == oracle
 
 
 class TestDissolveTiles:
@@ -216,7 +211,7 @@ class TestDissolveTiles:
 class TestFcAssembly:
     def test_per_route_fc(self, ray_session, image_table_dir, index):
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-        joined = spatial_join(ds, index, concurrency=2)
+        joined = spatial_join(ds, index)
         fcs = assemble_route_fcs(joined).to_pandas()
         assert set(fcs.route_id) == set(index.route_ids)
         fc = json.loads(fcs.fc_json.iloc[0])
@@ -300,7 +295,7 @@ class TestImageStages:
 class TestCheckpoint:
     def _pipeline(self, index):
         def fn(ds):
-            return spatial_join(ds, index, concurrency=2)
+            return spatial_join(ds, index)
 
         return fn
 
@@ -450,3 +445,50 @@ class TestShardedFcAssembly:
             ]
             assert sorted(ids_shard) == sorted(ids_whole)
             assert int(parts.n_tiles.sum()) == int(whole[whole.route_id == rid].n_tiles.iloc[0])
+
+
+class TestInvalidCoordinates:
+    """Rows whose lon/lat ``cells.encode`` would clamp into an edge cell
+    (NaN, ±inf, outside [-180, 180] × [-90, 90]) never join and never
+    count. Before the fix, each row below joined the polygon at the edge
+    cell it was clamped into, through the PIP-free fully-inside path."""
+
+    LON = [179.5, -179.5, 500.0, 180.5, np.nan, -179.5, -179.5, -179.5, np.inf]
+    LAT = [0.5, -89.5, 0.5, 0.5, np.nan, np.nan, -np.inf, -95.0, 0.5]
+
+    def _batch(self):
+        import pyarrow as pa
+
+        n = len(self.LON)
+        return pa.table({
+            "image_id": [f"img-{i:08d}" for i in range(n)],
+            "caption": [f"c{i}" for i in range(n)],
+            "lon": pa.array(self.LON, pa.float64()),
+            "lat": pa.array(self.LAT, pa.float64()),
+        })
+
+    def test_spatial_join_drops_invalid_rows(self):
+        from geotile.ops.join import SpatialJoinStage
+
+        def square(x0, y0):
+            return np.array([[x0, y0], [x0 + 1, y0], [x0 + 1, y0 + 1],
+                             [x0, y0 + 1], [x0, y0]], np.float64)
+
+        index = build_route_index(
+            {"box": [(square(179.0, 0.0), [])], "corner": [(square(-180.0, -90.0), [])]},
+            res=10,
+        )
+        out = SpatialJoinStage(index)(self._batch())
+        got = sorted(zip(out["image_id"].to_pylist(), out["route_id"].to_pylist()))
+        assert got == [("img-00000000", "box"), ("img-00000001", "corner")]
+
+    def test_cell_counts_drop_invalid_rows(self, ray_session):
+        import ray.data as rd
+
+        from geotile.geom import cells
+
+        df = cell_tile_counts(rd.from_arrow(self._batch())).to_pandas()
+        lon, lat = np.array(self.LON[:2]), np.array(self.LAT[:2])
+        expect = np.unique(cells.encode(lon, lat, 12)).view(np.int64)
+        assert sorted(df.cell.tolist()) == sorted(expect.tolist())
+        assert df.n_tiles.tolist() == [1, 1]
