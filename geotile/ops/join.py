@@ -35,7 +35,7 @@ from geotile.geom import cells
 from geotile.geom.buffer import meter_frame
 from geotile.geom.pip import points_in_polygon, points_to_polyline_distance
 from geotile.geom.raster import polygon_cover_cells
-from geotile.ops.tiles import georef_batch
+from geotile.ops.tiles import footprint_quads, georef_batch, row_lonlat
 
 DEFAULT_JOIN_RES = 18  # ~120m × 76m cells: fine enough that most cover
                        # cells are fully inside a 400 m buffer (PIP-free)
@@ -297,9 +297,9 @@ class SpatialJoinStage:
     Used as a plain function over batches (fused with the read, no
     reserved CPUs); the broadcast index is fetched once per worker
     process via ``_get_broadcast`` (zero-copy numpy out of plasma).
-    ``__call__`` is batch-vectorized: derive georef → drop invalid
-    coordinates → cell lookup (searchsorted CSR) → exact PIP on boundary
-    candidates only.
+    ``__call__`` is batch-vectorized: encode the stored lon/lat → drop
+    invalid coordinates → cell lookup (searchsorted CSR) → exact PIP on
+    boundary candidates only.
     """
 
     def __init__(self, index_ref):
@@ -400,7 +400,11 @@ def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
 # ---------------------------------------------------------------------------
 
 KNN_RING_RES = 15      # cover/ring resolution: ~1.7 km lon cells here
-KNN_RING_THRESHOLD = 32  # above this many routes the ring path wins
+# above this many routes the ring path wins; at or below it the pruned
+# scan does (one in-process KnnStage call, 4-vCPU Xeon VM, disc
+# routes, same outputs: 4 routes × 100k rows pruned 0.38 s vs ring
+# 5.5 s; 256 routes × 20k rows ring 0.70 s vs pruned 4.4 s)
+KNN_RING_THRESHOLD = 32
 
 
 class _KnnRingIndex:
@@ -421,10 +425,13 @@ class _KnnRingIndex:
         pairs_cell, pairs_route = [], []
         for ri, rid in enumerate(route_ids):
             parts = routes[rid] if isinstance(routes[rid], list) else [routes[rid]]
+            # segments with a non-finite endpoint have no cells to
+            # cover; the full-ring fallback still reaches their route
             cov = [
                 segment_cover_cells(p[i], p[i + 1], res)
                 for p in parts
                 for i in range(len(p) - 1)
+                if np.isfinite(p[i:i + 2]).all()
             ]
             # single-point parts contribute no segments but ARE valid
             # nearest-neighbor geometry (points_to_polyline_distance
@@ -433,7 +440,7 @@ class _KnnRingIndex:
             cov += [
                 cells.encode(p[:, 0], p[:, 1], res)
                 for p in parts
-                if len(p) == 1
+                if len(p) == 1 and np.isfinite(p).all()
             ]
             u = np.unique(np.concatenate(cov)) if cov else np.empty(0, np.uint64)
             pairs_cell.append(u)
@@ -475,27 +482,28 @@ class _KnnRingIndex:
 class KnnStage:
     """Per tile, the k nearest route polylines by point-to-segment
     distance in a corridor-local meter frame; the route side is
-    broadcast. Two paths with identical output:
+    broadcast. Rows with invalid lon/lat (``cells.valid_lonlat``) get
+    no neighbours. Two paths with identical output, chosen by route
+    count:
 
-    - exact scan (≤ ring_threshold routes): vectorized points ×
-      segments distance to EVERY route — fastest when the polygon side
-      is dimension-scale, and the oracle the tests check against.
-    - cell-ring expansion (> ring_threshold routes): tiles grouped by
+    - cell-pruned exact scan (≤ ``KNN_RING_THRESHOLD`` routes):
+      distance to EVERY route, skipping only segments that provably
+      cannot be a point's minimum — fastest when the route side is
+      dimension-scale.
+    - cell-ring expansion (> ``KNN_RING_THRESHOLD`` routes): tiles grouped by
       cell; rings around each cell expand over a polyline-cover CSR
       until ≥ k candidates are found AND the ring lower bound
       (r · min cell dim) exceeds the worst kth candidate distance —
       per-tile distance work is then candidates, not all routes."""
 
-    def __init__(self, routes_ref, k: int = 3,
-                 ring_threshold: int = KNN_RING_THRESHOLD,
-                 ring_res: int = KNN_RING_RES):
+    def __init__(self, routes_ref, k: int = 3):
         routes: dict[str, list[np.ndarray] | np.ndarray] = _get_broadcast(routes_ref)
         self.k = k
         mx, my = meter_frame(_ANCHOR_LAT)
         self.route_ids = sorted(routes)
         self.ring = (
-            _KnnRingIndex(routes, self.route_ids, ring_res, mx, my)
-            if len(self.route_ids) > ring_threshold
+            _KnnRingIndex(routes, self.route_ids, KNN_RING_RES, mx, my)
+            if len(self.route_ids) > KNN_RING_THRESHOLD
             else None
         )
         # each route is a LIST of parts; min distance is taken over parts
@@ -511,15 +519,6 @@ class KnnStage:
         ]
         self.mx, self.my = mx, my
         self.seg = None  # lazy pooled-segment index for the pruned scan
-        self.n_segs = sum(
-            max(len(p) - 1, 0) for parts in self.lines for p in parts)
-
-    def _use_pruned(self, n: int) -> bool:
-        """Dispatch gate for the cell-pruned exact scan: batch big
-        enough to amortize the per-cell center pass AND enough segments
-        for pruning to pay; small batches / tiny geometries keep the
-        straight scan (also the oracle twin)."""
-        return n >= 4096 and self.n_segs >= 64
 
     def _route_dist(self, j: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return np.minimum.reduce(
@@ -600,46 +599,32 @@ class KnnStage:
         d(c,s) > best(c) + 2r are provably out), and only the
         surviving segments get the exact chunked points×segments pass.
         The per-segment arithmetic and the route min are bit-identical
-        to the unpruned scan (the threshold carries a ulp of slack so
-        exactly-at-bound geometry can't flip on rounding) — measured
-        ~3× on the corridor workload where most of a route's polyline
-        is far from any given cell.
+        to the unpruned scan (the threshold carries a relative slack of
+        8 ulps, which dominates the rounding in ``dc``, so at-bound
+        geometry can't flip) — measured ~3× on the corridor workload
+        where most of a route's polyline is far from any given cell.
 
-        Safety rails (review fixes): points with out-of-range lon/lat
-        — which ``cells.encode`` CLIPS into a boundary cell the point
-        is not actually inside, breaking the containment assumption —
-        take the straight unpruned scan; NaN route geometry (dc.min()
-        NaN → empty keep) likewise falls back per (cell, route),
-        matching the straight scan's NaN propagation instead of
-        crashing on an empty reduction."""
+        Points must have valid lon/lat (``__call__`` drops the rest):
+        ``cells.encode`` CLIPS an out-of-range point into a boundary
+        cell it is not inside, breaking the containment assumption.
+        NaN route geometry (dc.min() NaN → empty keep) falls back per
+        (cell, route) to the unpruned ``_route_dist`` and its NaN
+        propagation instead of crashing on an empty reduction."""
         if self.seg is None:
             self.seg = self._build_seg_pool()
-        n = len(px)
         n_routes = len(self.route_ids)
-        D = np.empty((n, n_routes), np.float64)
-        in_range = cells.valid_lonlat(lon, lat)
-        if not in_range.all():
-            bad = np.flatnonzero(~in_range)
-            for j in range(n_routes):
-                D[bad, j] = self._route_dist(j, px[bad], py[bad])
-        else:
-            bad = None
-        ok = np.flatnonzero(in_range) if bad is not None else None
-        lon_i = lon if ok is None else lon[ok]
-        lat_i = lat if ok is None else lat[ok]
-        px_i = px if ok is None else px[ok]
-        py_i = py if ok is None else py[ok]
-        c = cells.encode(lon_i, lat_i, self._PRUNE_RES)
+        D = np.empty((len(px), n_routes), np.float64)
+        c = cells.encode(lon, lat, self._PRUNE_RES)
         uc, inv_c = np.unique(c, return_inverse=True)
         w, s_, e_, n_b = cells.cell_bounds(uc)
         ccx = ((w + e_) * 0.5 - _ANCHOR_LON) * self.mx
         ccy = ((s_ + n_b) * 0.5 - _ANCHOR_LAT) * self.my
         rcell = np.hypot((e_ - w) * 0.5 * self.mx,
                          (n_b - s_) * 0.5 * self.my)
+        slack = 1.0 + 8.0 * np.finfo(np.float64).eps
         for ui in range(len(uc)):
             idx = np.flatnonzero(inv_c == ui)
-            gidx = idx if ok is None else ok[idx]
-            mpx, mpy = px_i[idx], py_i[idx]
+            mpx, mpy = px[idx], py[idx]
             block = np.empty((len(idx), n_routes), np.float64)
             for j in range(n_routes):
                 ax, ay, dx, dy, invl, pts = self.seg[j]
@@ -649,13 +634,12 @@ class KnnStage:
                     dc = np.sqrt(d2c)
                     lo = dc.min()
                     if np.isnan(lo):
-                        # NaN geometry: match the straight scan's NaN
+                        # NaN geometry: keep _route_dist's NaN
                         # propagation rather than prune everything
                         dj = self._route_dist(j, mpx, mpy)
                         block[:, j] = dj
                         continue
-                    keep = dc <= np.nextafter(
-                        lo + 2.0 * rcell[ui], np.inf)
+                    keep = dc <= (lo + 2.0 * rcell[ui]) * slack
                     dj = self._seg_min_dist(mpx, mpy, ax[keep], ay[keep],
                                             dx[keep], dy[keep],
                                             invl[keep])
@@ -664,16 +648,16 @@ class KnnStage:
                 for p in pts:  # single-point parts: hypot path as before
                     dj = np.minimum(dj, np.hypot(mpx - p[0], mpy - p[1]))
                 block[:, j] = dj
-            D[gidx] = block
+            D[idx] = block
         return self._select_topk(D, k)
 
     @staticmethod
     def _select_topk(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # STABLE argsort, not argpartition: among EQUAL distances
         # straddling rank k argpartition picks arbitrarily, so the
-        # exact-scan and ring paths could report different tied routes.
+        # pruned-scan and ring paths could report different tied routes.
         # Stable sort ties break by CANDIDATE COLUMN ORDER — global
-        # route index in both call paths (the exact scan passes all
+        # route index in both call paths (the pruned scan passes all
         # routes in id order; the ring path passes `cand` ascending) —
         # so both paths agree on ties. Route counts are dim-scale
         # (hundreds), so the log-factor over argpartition is noise.
@@ -713,20 +697,22 @@ class KnnStage:
                     kth = np.partition(D, k - 1, axis=1)[:, k - 1]
                     # unseen routes are ≥ r·min_dim away from every tile;
                     # STRICT <: at equality an unseen route could tie the
-                    # kth candidate and the exact scan's stable tie-break
+                    # kth candidate and the pruned scan's stable tie-break
                     # might prefer it
                     if full or kth.max() < r * idxr.min_dim_m:
                         break
                 r += 1
             ti, td = self._select_topk(D, k)
-            top[m] = cand[ti]  # cand ascending keeps exact-scan tie order
+            top[m] = cand[ti]  # cand ascending keeps pruned-scan tie order
             topd[m] = td
         return top, topd
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        geo = georef_batch(batch, DEFAULT_JOIN_RES)
-        lon = geo["lon"].to_numpy()
-        lat = geo["lat"].to_numpy()
+        lon, lat = row_lonlat(batch)
+        ids = batch["image_id"]
+        valid = cells.valid_lonlat(lon, lat)
+        if not valid.all():
+            lon, lat, ids = lon[valid], lat[valid], ids.filter(pa.array(valid))
         px = (lon - _ANCHOR_LON) * self.mx
         py = (lat - _ANCHOR_LAT) * self.my
         n = len(px)
@@ -734,22 +720,16 @@ class KnnStage:
         if k == 0:
             # zero routes: a typed empty result, not a np.stack crash
             return pa.table({
-                "image_id": pa.array([], geo["image_id"].type),
+                "image_id": pa.array([], ids.type),
                 "rank": pa.array([], pa.int32()),
                 "route_id": pa.array([], pa.string()),
                 "dist_m": pa.array([], pa.float64())})
-        if self.ring is not None and n:
+        if self.ring is not None:
             top, topd = self._ring_topk(lon, lat, px, py, k)
-        elif self._use_pruned(n):
-            top, topd = self._exact_scan_pruned(lon, lat, px, py, k)
         else:
-            dists = np.stack(
-                [self._route_dist(j, px, py) for j in range(len(self.route_ids))],
-                axis=1,
-            )
-            top, topd = self._select_topk(dists, k)
+            top, topd = self._exact_scan_pruned(lon, lat, px, py, k)
         ids = pc.take(
-            geo["image_id"].combine_chunks(),
+            ids.combine_chunks(),
             pa.array(np.repeat(np.arange(n, dtype=np.int64), k)),
         )
         route_dict = pa.DictionaryArray.from_arrays(
@@ -765,9 +745,7 @@ class KnnStage:
         )
 
 
-def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3,
-               ring_threshold: int = KNN_RING_THRESHOLD,
-               ring_res: int = KNN_RING_RES) -> rd.Dataset:
+def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3) -> rd.Dataset:
     """Stateless-task kNN stage over whole read blocks (same
     broadcast/caching discipline as spatial_join). Pass an ``ObjectRef``
     to broadcast ONCE across checkpointed per-partition invocations
@@ -776,10 +754,7 @@ def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3,
            else ray.put(route_lines))
 
     def knn_fn(batch: pa.Table) -> pa.Table:
-        return _cached_stage(
-            ("knn", ref.hex(), k, ring_threshold, ring_res),
-            lambda: KnnStage(ref, k, ring_threshold, ring_res),
-        )(batch)
+        return _cached_stage(("knn", ref.hex(), k), lambda: KnnStage(ref, k))(batch)
 
     return ds.map_batches(
         knn_fn,
@@ -826,20 +801,11 @@ def _merge_cell_counts(t: pa.Table) -> pa.Table:
 
 
 def _partial_cell_counts(batch: pa.Table) -> pa.Table:
-    from geotile.synth import image_index, tile_centers
-
     # encode at CELL_COUNT_RES DIRECTLY: floor(x/(k·step)) ==
     # floor(floor(x/step)/k) for the power-of-two lattice, so this equals
     # parent(encode(·, res), CELL_COUNT_RES) while skipping the fine
-    # Morton interleave.  Stored footprint columns win over re-deriving
-    # placement when the read carries them (same contract as georef_batch)
-    names = batch.column_names
-    if "lon" in names and "lat" in names:
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-    else:
-        idx = image_index(batch["image_id"])
-        lon, lat = tile_centers(idx.astype(np.uint64))
+    # Morton interleave
+    lon, lat = row_lonlat(batch)
     valid = cells.valid_lonlat(lon, lat)
     if not valid.all():
         lon, lat = lon[valid], lat[valid]
@@ -903,10 +869,7 @@ def _footprint_cells(batch: pa.Table, res: int) -> pa.Table:
     """Per-batch rasterization: each tile's axis-aligned footprint quad →
     the cell ids its bbox intersects (vectorized: spans are ≤2×2 cells
     at res≈18 for 100 m tiles), pre-deduped per batch (the combiner)."""
-    from geotile.synth import image_index, tile_footprints
-
-    idx = image_index(batch["image_id"])
-    quads = tile_footprints(idx.astype(np.uint64))
+    quads = footprint_quads(*row_lonlat(batch))
     dlon, dlat = cells.cell_size_degrees(res)
     n = np.int64(1 << res)
     ix0 = np.floor((quads[:, :, 0].min(axis=1) + 180.0) / dlon).astype(np.int64)
@@ -931,10 +894,12 @@ def _footprint_cells(batch: pa.Table, res: int) -> pa.Table:
     return pa.table({"cell": pa.array(uniq.view(np.int64))})
 
 
-def dissolve_tile_footprints(
-    ds: rd.Dataset, res: int = DEFAULT_JOIN_RES, parent_res: int | None = None
-):
-    """Distributed dissolve of ALL tile footprints: per-batch cell masks
+DISSOLVE_PARENT_RES = DEFAULT_JOIN_RES - 6  # windows group by parent cell
+
+
+def dissolve_tile_footprints(ds: rd.Dataset):
+    """Distributed dissolve of ALL tile footprints at
+    ``DEFAULT_JOIN_RES``: per-batch cell masks
     → one groupby(cell) OR-merge (the shuffle carries distinct cells
     only) → DISTRIBUTED marching squares: each covered cell contributes
     its presence bit to the 4 windows that see it, windows are grouped
@@ -951,9 +916,8 @@ def dissolve_tile_footprints(
         window_segment_keys,
     )
 
-    if parent_res is None:
-        parent_res = max(res - 6, 0)
-    shift = res - parent_res
+    res = DEFAULT_JOIN_RES
+    shift = res - DISSOLVE_PARENT_RES
     A = np.int64((1 << res) + 2)  # anchor packing base (gx can be -1)
 
     covered = ds.map_batches(
@@ -1023,13 +987,13 @@ def _json_escape(arr: pa.Array) -> pa.Array:
     return arr
 
 
-def _route_fc(df: pd.DataFrame, max_features: int, keep_shard: bool = False) -> pd.DataFrame:
-    from geotile.synth import image_index as _ii
-    from geotile.synth import tile_footprints
+FC_MAX_FEATURES = 100_000  # per-route feature cap (row carries true n_tiles)
 
+
+def _route_fc(df: pd.DataFrame) -> pd.DataFrame:
     n_total = len(df)
-    df = df.sort_values("image_id", kind="stable").head(max_features)
-    quads = np.round(tile_footprints(_ii(df["image_id"].to_numpy()).astype(np.uint64)), 7)
+    df = df.sort_values("image_id", kind="stable").head(FC_MAX_FEATURES)
+    quads = np.round(footprint_quads(df["lon"].to_numpy(), df["lat"].to_numpy()), 7)
     # feature-string assembly entirely in Arrow C kernels: float→string
     # casts + binary_join_element_wise (numpy object-array concatenation
     # is per-element Python under the hood — VERDICT r2 'what's wrong' #1)
@@ -1054,16 +1018,12 @@ def _route_fc(df: pd.DataFrame, max_features: int, keep_shard: bool = False) -> 
         pa.ListArray.from_arrays(pa.array([0, len(feats)], pa.int32()), feats), ","
     )[0].as_py() if len(feats) else ""
     fc = '{"type":"FeatureCollection","features":[' + joined_feats + "]}"
-    out = {
+    return pd.DataFrame({
         "route_id": [df["route_id"].iloc[0]],
         "n_tiles": [n_total],  # TRUE count, pre-truncation
         "truncated": [n_total > len(df)],
         "fc_json": [fc],
-    }
-    if keep_shard:
-        out = {"route_id": out["route_id"], "shard": [int(df["shard"].iloc[0])],
-               **{k: v for k, v in out.items() if k != "route_id"}}
-    return pd.DataFrame(out)
+    })
 
 
 def write_route_fcs(fcs: rd.Dataset, out_dir: str) -> list[str]:
@@ -1077,15 +1037,9 @@ def write_route_fcs(fcs: rd.Dataset, out_dir: str) -> list[str]:
     def write(t: pa.Table) -> pa.Table:
         from geotile.pipeline import sanitize
 
-        # sharded assembly rows carry a shard column; name files per
-        # shard so rows never clobber each other's <route>.geojson
-        shards = t["shard"].to_pylist() if "shard" in t.column_names else [None] * len(t)
         paths = []
-        for rid, shard, fc in zip(
-            t["route_id"].to_pylist(), shards, t["fc_json"].to_pylist()
-        ):
-            name = f"{rid}.geojson" if shard is None else f"{rid}_shard{shard}.geojson"
-            p = os.path.join(out_dir, sanitize(name))
+        for rid, fc in zip(t["route_id"].to_pylist(), t["fc_json"].to_pylist()):
+            p = os.path.join(out_dir, sanitize(f"{rid}.geojson"))
             tmp = p + ".tmp"
             with open(tmp, "w") as f:
                 f.write(fc)
@@ -1096,69 +1050,14 @@ def write_route_fcs(fcs: rd.Dataset, out_dir: str) -> list[str]:
     return [r["path"] for r in fcs.map_batches(write, batch_format="pyarrow").take_all()]
 
 
-def assemble_route_fcs(
-    joined: rd.Dataset,
-    max_features_per_route: int = 100_000,
-    n_shards: int | None = None,
-) -> rd.Dataset:
+def assemble_route_fcs(joined: rd.Dataset) -> rd.Dataset:
     """groupby(route_id) → one FeatureCollection row per route, features
-    ordered by image_id, captions as properties (north_star). The cap
-    bounds single-row size at extreme scale (logged, not silent — row
-    carries the true n_tiles count).
-
-    ``n_shards``: the giant-route scale path — a hot route is ONE group
-    (parallelism bounded by route count, row size by its tile count).
-    With sharding, rows are keyed (route_id, shard = image_index mod
-    n_shards) so assembly parallelizes and each output row holds one
-    sub-FeatureCollection. The shards PARTITION the route's features
-    (each shard internally image_id-ordered); mod-sharding interleaves
-    ids across shards, so a consumer that needs the unsharded global
-    image_id order must merge the shard feature lists by image_id, not
-    merely concatenate them. ``write_route_fcs`` writes one
-    ``<route>_shard<k>.geojson`` per row for sharded input."""
+    ordered by image_id, captions as properties (north_star), each
+    feature's quad built from the row's stored lon/lat. The
+    ``FC_MAX_FEATURES`` cap bounds single-row size at extreme scale
+    (logged, not silent — row carries the true n_tiles count)."""
     from geotile.ops.hashing import hash_strings
-    from geotile.synth import splitmix64
 
-    if n_shards:
-        from geotile.synth import image_index
-
-        P_sh = max(8, int(ray.cluster_resources().get("CPU", 16)))
-
-        def add_shard(t: pa.Table) -> pa.Table:
-            idx = image_index(t["image_id"])
-            shard = (idx % n_shards).astype(np.int64)
-            col = t["route_id"]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            # co-partition on an int64 hash of (route, shard) — same
-            # string-sort avoidance as the unsharded path below; a
-            # (route, shard) unit still co-locates whole
-            rb = (splitmix64(hash_strings(col)
-                             ^ shard.view(np.uint64))
-                  % np.uint64(P_sh)).astype(np.int64)
-            return t.append_column(
-                "shard", pa.array(shard)
-            ).append_column("rb", pa.array(rb))
-
-        def fc_shard_bucket(df: pd.DataFrame) -> pd.DataFrame:
-            if len(df) == 0:
-                return pd.DataFrame(
-                    {"route_id": pd.Series(dtype=object),
-                     "shard": pd.Series(dtype=np.int64),
-                     "n_tiles": pd.Series(dtype=np.int64),
-                     "truncated": pd.Series(dtype=bool),
-                     "fc_json": pd.Series(dtype=object)})
-            return pd.concat(
-                [_route_fc(g.drop(columns=["rb"]),
-                           max_features_per_route, keep_shard=True)
-                 for _, g in df.groupby(["route_id", "shard"], sort=True)],
-                ignore_index=True)
-
-        sharded = joined.map_batches(add_shard, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-        return sharded.groupby("rb").map_groups(
-            fc_shard_bucket, batch_format="pandas",
-        )
     # co-partition by an int64 hash of route_id and assemble every
     # route inside the bucket with one pandas groupby: the Ray
     # map_groups sort compares int64 bucket keys instead of the full
@@ -1181,7 +1080,7 @@ def assemble_route_fcs(
                                  "truncated": pd.Series(dtype=bool),
                                  "fc_json": pd.Series(dtype=object)})
         return pd.concat(
-            [_route_fc(g.drop(columns=["rb"]), max_features_per_route)
+            [_route_fc(g)
              for _, g in df.groupby("route_id", sort=True)],
             ignore_index=True)
 

@@ -1,9 +1,9 @@
 """Image-tile stages over the Lance-style image+caption table.
 
 All stages are ``map_batches`` transforms over zero-copy Arrow batches.
-The georeference is DERIVED (pure function of image_id — synth.py), so
-the hot path reads only the columns it needs: the join/tiling pipeline
-prunes ``bytes`` at the read and touches it in no stage; only the
+Each row CARRIES its georeference — the tile centroid in ``lon``/``lat``
+columns — so the join/tiling pipeline reads only the columns it needs:
+it prunes ``bytes`` at the read and touches it in no stage; only the
 invariant-check / feature-extract stages (actor pools, bounded batch
 size) ever decode pixels.
 """
@@ -16,20 +16,13 @@ import ray.data as rd
 
 from geotile.geom import cells
 from geotile.png import decode_png
-from geotile.synth import (
-    image_index,
-    phash_from_pixels,
-    pixel_pattern,
-    tile_centers,
-)
 
-# join read set: bytes/w/h/fmt pruned at the read.  lon/lat ride along
-# because the table CARRIES the georeferenced footprint (north-star
-# data model) and reading two float64 columns (+5 ms per 4-file task,
-# measured) is cheaper than re-deriving georef per batch (~45 ms of
-# id-parse + placement hashing under 32-way memory contention);
-# georef_batch still derives them when a caller reads without them.
+# join read set: bytes/w/h/fmt pruned at the read.  lon/lat are the
+# tile's stored centroid (north-star data model); every join-module
+# stage reads position from them and raises without them.
 JOIN_COLUMNS = ["image_id", "caption", "lon", "lat"]
+
+TILE_SIDE_M = 100.0  # footprint quad side
 
 
 def read_image_table(
@@ -73,27 +66,44 @@ def read_image_table(
     return rd.read_parquet(path, columns=columns, override_num_blocks=override_num_blocks)
 
 
-def georef_batch(batch: pa.Table, res: int) -> pa.Table:
-    """Attach (lon, lat) + uint64 cell id at resolution ``res``.  When
-    the batch already CARRIES the georeferenced footprint (lon/lat
-    columns — the input table stores them; see JOIN_COLUMNS) only the
-    cell encode runs; otherwise lon/lat derive from the id (vectorized
-    id→index parse, splitmix64 placement — the two paths agree
-    bit-for-bit on the synthetic table, pinned by test).  No Python
-    loop over rows either way."""
+def row_lonlat(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The (lon, lat) centroid each row carries, as float64 arrays."""
     names = batch.column_names
-    if "lon" in names and "lat" in names:
-        lon = batch["lon"].to_numpy(zero_copy_only=False)
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        cell = cells.encode(lon, lat, res)
-        return batch.append_column(
-            "cell", pa.array(cell.view(np.int64)))
-    idx = image_index(batch["image_id"])
-    lon, lat = tile_centers(idx.astype(np.uint64))
+    if "lon" not in names or "lat" not in names:
+        raise ValueError(
+            "tile rows must carry their lon/lat centroid: read the image "
+            f"table with JOIN_COLUMNS = {JOIN_COLUMNS}"
+        )
+    return (batch["lon"].to_numpy(zero_copy_only=False),
+            batch["lat"].to_numpy(zero_copy_only=False))
+
+
+def georef_batch(batch: pa.Table, res: int) -> pa.Table:
+    """Append the uint64 cell id (int64 view: parquet/duckdb-friendly)
+    of each row's stored centroid at resolution ``res``."""
+    lon, lat = row_lonlat(batch)
     cell = cells.encode(lon, lat, res)
-    return batch.append_column("lon", pa.array(lon)).append_column(
-        "lat", pa.array(lat)
-    ).append_column("cell", pa.array(cell.view(np.int64)))  # int64 view: parquet/duckdb-friendly
+    return batch.append_column("cell", pa.array(cell.view(np.int64)))
+
+
+def footprint_quads(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Tile centroids → (n, 5, 2) closed axis-aligned footprint quads of
+    side ``TILE_SIDE_M``, in the corridor's equirectangular frame at
+    37.4° latitude."""
+    m_per_deg_lat = 6371008.8 * np.pi / 180.0
+    m_per_deg_lon = m_per_deg_lat * np.cos(np.radians(37.4))
+    hw_lon = TILE_SIDE_M / 2 / m_per_deg_lon
+    hw_lat = TILE_SIDE_M / 2 / m_per_deg_lat
+    return np.stack(
+        [
+            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
+            np.stack([lon + hw_lon, lat - hw_lat], axis=-1),
+            np.stack([lon + hw_lon, lat + hw_lat], axis=-1),
+            np.stack([lon - hw_lon, lat + hw_lat], axis=-1),
+            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
+        ],
+        axis=1,
+    )
 
 
 class ImageDecodeStage:
@@ -116,6 +126,8 @@ class ImageDecodeStage:
         }
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from geotile.synth import image_index, phash_from_pixels, pixel_pattern
+
         ids = batch["image_id"].to_pylist()
         fmts = batch["fmt"].to_pylist()
         ws = batch["w"].to_pylist()

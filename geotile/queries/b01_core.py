@@ -5221,11 +5221,11 @@ _WINDOW_STATS_SQL = """
 def _covered_ixy_cte(img: str) -> str:
     """WITH-fragment producing ``cov(ix, iy)`` — the DISTINCT integer
     cell coordinates any tile footprint touches; SQL replay of
-    _footprint_cells (constants mirror synth.tile_footprints /
+    _footprint_cells (constants mirror tiles.footprint_quads /
     cells.cell_size_degrees bit-for-bit)."""
     from geotile.geom import cells as cellmod
     from geotile.ops.join import DEFAULT_JOIN_RES
-    from geotile.synth import TILE_SIDE_M
+    from geotile.ops.tiles import TILE_SIDE_M
 
     res = DEFAULT_JOIN_RES
     dlon, dlat = cellmod.cell_size_degrees(res)

@@ -6,10 +6,10 @@ function of row index), per FIXTURES.md:
    /root/reference/examples; ours are committed goldens over this feed).
 2. ``make_image_table`` — the Lance-style image+caption table with the
    exact BASELINE.json ``input_hint`` schema (image_id, bytes, w, h,
-   fmt, caption, phash). The georeference is DERIVED from image_id (not
-   stored) so the table stays input_hint-shaped: tile centroids are
-   placed along the caltrain corridor with ~2/3 inside route buffers and
-   a deliberately hot cell cluster for skew-salting tests.
+   fmt, caption, phash) plus each tile's stored centroid (lon, lat), a
+   pure function of the row index: tile centroids are placed along the
+   caltrain corridor with ~2/3 inside route buffers and a deliberately
+   hot cell cluster for skew tests.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import pyarrow.parquet as pq
 from geotile.png import encode_png
 
 # ---------------------------------------------------------------------------
-# deterministic hashing (splitmix64) — the engine derives each tile's
-# georeference from image_id with these same functions
+# deterministic hashing (splitmix64) — tile placement and pixel
+# patterns are pure functions of the row index through these
 # ---------------------------------------------------------------------------
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -312,10 +312,9 @@ def make_caltrain_fixture(out_dir: str | Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# image+caption table (input_hint schema) with derived georeference
+# image+caption table (input_hint schema) with stored tile centroids
 # ---------------------------------------------------------------------------
 
-TILE_SIDE_M = 100.0       # footprint quad side
 _CORRIDOR_HALF_WIDTH_M = 600.0  # lateral placement band → ~2/3 land in 400m buffers
 _HOT_FRACTION = 0.2       # fraction of tiles clustered at the hot stop
 
@@ -349,22 +348,9 @@ def tile_centers(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tile_footprints(indices: np.ndarray) -> np.ndarray:
     """Row indices → (n, 5, 2) closed axis-aligned footprint quads."""
-    lon, lat = tile_centers(indices)
-    m_per_deg_lat = 6371008.8 * np.pi / 180.0
-    m_per_deg_lon = m_per_deg_lat * np.cos(np.radians(37.4))
-    hw_lon = TILE_SIDE_M / 2 / m_per_deg_lon
-    hw_lat = TILE_SIDE_M / 2 / m_per_deg_lat
-    quad = np.stack(
-        [
-            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
-            np.stack([lon + hw_lon, lat - hw_lat], axis=-1),
-            np.stack([lon + hw_lon, lat + hw_lat], axis=-1),
-            np.stack([lon - hw_lon, lat + hw_lat], axis=-1),
-            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
-        ],
-        axis=1,
-    )
-    return quad
+    from geotile.ops.tiles import footprint_quads
+
+    return footprint_quads(*tile_centers(indices))
 
 
 def export_feed_csv(parquet_dir: str | Path, out: str | Path) -> Path:
@@ -464,12 +450,10 @@ def image_size(indices: np.ndarray, w: int = 32, h: int = 32) -> tuple[np.ndarra
 
 def make_image_batch(indices: np.ndarray, w: int = 32, h: int = 32) -> pa.Table:
     """Row indices → an Arrow table with the exact input_hint schema,
-    plus the (lon, lat) georeference materialized as columns: the
-    north-star table CARRIES each image's footprint, the join read
-    includes it (JOIN_COLUMNS), and the driver's DuckDB oracles verify
-    the spatial join end-to-end on the same columns.  georef_batch
-    still derives identical values from image_id for reads that skip
-    them (bit-for-bit equality pinned by test)."""
+    plus the (lon, lat) tile centroid as columns: the north-star table
+    CARRIES each image's footprint, every join-module stage reads its
+    position from them (JOIN_COLUMNS), and the driver's DuckDB oracles
+    verify the spatial join end-to-end on the same columns."""
     idx = np.asarray(indices, dtype=np.int64)
     ws, hs = image_size(idx, w, h)
     lon, lat = tile_centers(idx.astype(np.uint64))

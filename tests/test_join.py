@@ -175,7 +175,7 @@ class TestDissolveTiles:
         from geotile.synth import tile_footprints
 
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-        covered, polys = dissolve_tile_footprints(ds, res=18)
+        covered, polys = dissolve_tile_footprints(ds)
         got = set(r["cell"] for r in covered.select_columns(["cell"]).take_all())
         # oracle: every cell intersecting any footprint bbox
         quads = tile_footprints(np.arange(N_IMG).astype(np.uint64))
@@ -221,6 +221,29 @@ class TestFcAssembly:
         assert "caption" in f0["properties"]
         ids = [f["properties"]["image_id"] for f in fc["features"]]
         assert ids == sorted(ids)  # deterministic in-file order
+
+    def test_quads_contain_their_rows(self):
+        """Each feature's footprint quad is centred on its row's stored
+        lon/lat, on any table — not only where the id encodes a
+        corridor placement."""
+        import pandas as pd
+
+        from geotile.ops.join import _route_fc
+
+        lon = np.array([2.35, 2.36, -73.99, 151.21, -122.3])
+        lat = np.array([48.85, 48.86, 40.75, -33.87, 37.6])
+        df = pd.DataFrame({
+            "image_id": [f"img-{i:08d}" for i in range(len(lon))],
+            "caption": ["c"] * len(lon),
+            "lon": lon, "lat": lat,
+            "cell": np.arange(len(lon), dtype=np.int64),
+            "route_id": ["R"] * len(lon),
+        })
+        fc = json.loads(_route_fc(df).fc_json.iloc[0])
+        assert len(fc["features"]) == len(lon)
+        for f, x, y in zip(fc["features"], lon, lat):
+            ring = np.array(f["geometry"]["coordinates"][0])
+            assert points_in_polygon(np.array([x]), np.array([y]), [ring])[0]
 
 
 class TestFcSink:
@@ -366,27 +389,79 @@ class TestCheckpoint:
         assert completed_partitions(out, parts) == set()
 
 
+def _knn_brute_force(routes, lon, lat, k):
+    """(route_ids, dist_m) per row, (n, k): distance to every route part
+    with points_to_polyline_distance, stable-sorted per row."""
+    from geotile.ops.join import _ANCHOR_LAT, _ANCHOR_LON
+
+    mx, my = meter_frame(_ANCHOR_LAT)
+    px, py = (lon - _ANCHOR_LON) * mx, (lat - _ANCHOR_LAT) * my
+    rids = sorted(routes)
+    D = np.stack([
+        np.minimum.reduce([
+            points_to_polyline_distance(
+                px, py, np.column_stack([(p[:, 0] - _ANCHOR_LON) * mx,
+                                         (p[:, 1] - _ANCHOR_LAT) * my]))
+            for p in routes[r]])
+        for r in rids], axis=1)
+    order = np.argsort(D, axis=1, kind="stable")[:, :k]
+    return np.array(rids)[order], np.take_along_axis(D, order, axis=1)
+
+
+def _disc_routes(n):
+    """n synthetic station discs, each ring used as a kNN polyline."""
+    from geotile.synth import synthetic_route_polygons
+
+    return {rid: [plist[0][0]] for rid, plist in synthetic_route_polygons(n).items()}
+
+
 class TestKnnRingPath:
     def test_ring_path_matches_exact_scan_256_routes(self, ray_session):
-        """The cell-ring-expansion kNN must produce EXACTLY the exact
-        scan's output (ids, ranks, distances bit-equal) on a 256-route
-        dimension side — the regime the ring path exists for."""
+        """At 256 routes KnnStage picks the cell-ring expansion, and its
+        output must equal a brute-force distance to every route (ids
+        and ranks equal, distances bit-equal) — the regime the ring
+        path exists for."""
         import ray
 
         from geotile.ops.join import KnnStage
-        from geotile.synth import make_image_batch, synthetic_route_polygons
+        from geotile.synth import make_image_batch
 
-        # disc rings double as polylines for the kNN geometry
-        polys = synthetic_route_polygons(256)
-        routes = {rid: [plist[0][0]] for rid, plist in polys.items()}
-        batch = make_image_batch(np.arange(3000)).select(["image_id", "caption"])
-        exact = KnnStage(ray.put(routes), k=3, ring_threshold=10**9)(batch)
-        ring = KnnStage(ray.put(routes), k=3, ring_threshold=1)(batch)
-        ed, rd_ = exact.to_pandas(), ring.to_pandas()
-        assert (ed["image_id"] == rd_["image_id"]).all()
-        assert (ed["rank"] == rd_["rank"]).all()
-        assert (ed["route_id"] == rd_["route_id"]).all()
-        assert (ed["dist_m"].to_numpy() == rd_["dist_m"].to_numpy()).all()
+        routes = _disc_routes(256)
+        batch = make_image_batch(np.arange(3000)).select(JOIN_COLUMNS)
+        stage = KnnStage(ray.put(routes), k=3)
+        assert stage.ring is not None
+        got = stage(batch).to_pandas()
+        want_ids, want_d = _knn_brute_force(
+            routes, batch["lon"].to_numpy(), batch["lat"].to_numpy(), 3)
+        assert got["image_id"].tolist() == np.repeat(batch["image_id"].to_numpy(), 3).tolist()
+        assert (got["rank"].to_numpy() == np.tile(np.arange(3), 3000)).all()
+        assert got["route_id"].tolist() == want_ids.ravel().tolist()
+        assert (got["dist_m"].to_numpy() == want_d.ravel()).all()
+
+    def test_nan_route_vertex(self, ray_session):
+        """A route with a NaN vertex still builds the ring index (its
+        non-finite segments are not covered) and the output keeps the
+        brute-force NaN pattern and finite distances."""
+        import ray
+
+        from geotile.ops.join import KnnStage
+        from geotile.synth import make_image_batch
+
+        routes = _disc_routes(40)
+        bad = routes["R005"][0].copy()
+        bad[3] = np.nan
+        routes["R005"] = [bad]
+        batch = make_image_batch(np.arange(1000)).select(JOIN_COLUMNS)
+        stage = KnnStage(ray.put(routes), k=3)
+        assert stage.ring is not None
+        got = stage(batch).to_pandas()
+        want_ids, want_d = _knn_brute_force(
+            routes, batch["lon"].to_numpy(), batch["lat"].to_numpy(), 3)
+        d = got["dist_m"].to_numpy()
+        assert np.array_equal(np.isnan(d), np.isnan(want_d.ravel()))
+        f = ~np.isnan(d)
+        assert np.array_equal(d[f], want_d.ravel()[f])
+        assert (got["route_id"].to_numpy()[f] == want_ids.ravel()[f]).all()
 
 
 class TestStreamedDissolve:
@@ -399,7 +474,7 @@ class TestStreamedDissolve:
         from geotile.ops.join import dissolve_tile_footprints
 
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-        covered, polys = dissolve_tile_footprints(ds, res=18)
+        covered, polys = dissolve_tile_footprints(ds)
         cell_ids = np.array(
             [r["cell"] for r in covered.select_columns(["cell"]).take_all()],
             dtype=np.int64,
@@ -417,34 +492,6 @@ class TestStreamedDissolve:
             for a, b in zip(gh, eh):
                 assert len(a) == len(b)
                 assert np.allclose(a, b, atol=1e-9, rtol=0)
-
-
-class TestShardedFcAssembly:
-    def test_shards_cover_same_features(self, ray_session, image_table_dir):
-        """Sharded assembly (the giant-route scale path) must partition
-        exactly the features the unsharded path emits."""
-        import json
-
-        from geotile.ops.join import assemble_route_fcs, spatial_join
-        from geotile.synth import synthetic_route_polygons
-
-        idx = build_route_index(synthetic_route_polygons(8))
-        ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
-        joined = spatial_join(ds, idx)
-        whole = assemble_route_fcs(joined).to_pandas()
-        sharded = assemble_route_fcs(joined, n_shards=4).to_pandas()
-        assert set(sharded.columns) == {"route_id", "shard", "n_tiles", "truncated", "fc_json"}
-        for rid in whole.route_id:
-            w = json.loads(whole[whole.route_id == rid].fc_json.iloc[0])
-            ids_whole = [f["properties"]["image_id"] for f in w["features"]]
-            parts = sharded[sharded.route_id == rid].sort_values("shard")
-            ids_shard = [
-                f["properties"]["image_id"]
-                for _, row in parts.iterrows()
-                for f in json.loads(row.fc_json)["features"]
-            ]
-            assert sorted(ids_shard) == sorted(ids_whole)
-            assert int(parts.n_tiles.sum()) == int(whole[whole.route_id == rid].n_tiles.iloc[0])
 
 
 class TestInvalidCoordinates:
@@ -492,3 +539,76 @@ class TestInvalidCoordinates:
         expect = np.unique(cells.encode(lon, lat, 12)).view(np.int64)
         assert sorted(df.cell.tolist()) == sorted(expect.tolist())
         assert df.n_tiles.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("n_routes", [4, 40])
+    def test_knn_drops_invalid_rows(self, n_routes):
+        """Invalid rows get no neighbours on either kNN path (pruned
+        scan at 4 routes, ring expansion at 40); the valid rows between
+        them get the brute-force answer. The two valid rows of LON/LAT
+        sit half a world from the corridor and are left out: the ring
+        expansion walks every ring out to them."""
+        import pyarrow as pa
+
+        from geotile.ops.join import KnnStage
+
+        routes = _disc_routes(n_routes)
+        vlon, vlat = tile_centers(np.arange(30).astype(np.uint64))
+        bad_lon, bad_lat = self.LON[2:], self.LAT[2:]
+        lon = np.concatenate([vlon[:10], bad_lon[:4], vlon[10:], bad_lon[4:]])
+        lat = np.concatenate([vlat[:10], bad_lat[:4], vlat[10:], bad_lat[4:]])
+        ids = [f"img-{i:08d}" for i in range(10)] + [f"bad-{i}" for i in range(4)] \
+            + [f"img-{i:08d}" for i in range(10, 30)] + [f"bad-{i}" for i in range(4, 7)]
+        batch = pa.table({"image_id": ids, "caption": ["c"] * len(ids),
+                          "lon": pa.array(lon, pa.float64()), "lat": pa.array(lat, pa.float64())})
+        stage = KnnStage(routes, k=3)
+        assert (stage.ring is not None) == (n_routes > 32)
+        got = stage(batch).to_pandas()
+        want_ids, want_d = _knn_brute_force(routes, vlon, vlat, 3)
+        assert got["image_id"].tolist() == [f"img-{i:08d}" for i in range(30) for _ in range(3)]
+        assert got["route_id"].tolist() == want_ids.ravel().tolist()
+        assert (got["dist_m"].to_numpy() == want_d.ravel()).all()
+
+
+class TestEngineImports:
+    def test_join_stages_never_import_synth(self):
+        """The join-module stages read tile position from the row: on a
+        hand-built table with lon/lat, none of them imports the
+        synthetic-data generator."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import pyarrow as pa\n"
+            "import geotile.ops.join as J\n"
+            "from geotile.ops.tiles import georef_batch\n"
+            "ids = ['img-00000001', 'img-00000002', 'img-00000003']\n"
+            "t = pa.table({'image_id': ids, 'caption': ['x', 'y', 'z'],\n"
+            "              'lon': [2.35, 2.36, 2.5], 'lat': [48.85, 48.86, 48.0]})\n"
+            "sq = np.array([[2.3, 48.8], [2.4, 48.8], [2.4, 48.9], [2.3, 48.9], [2.3, 48.8]])\n"
+            "assert georef_batch(t, 18).num_rows == 3\n"
+            "joined = J.SpatialJoinStage(J.build_route_index({'R': [(sq, [])]}))(t)\n"
+            "assert joined['image_id'].to_pylist() == ids[:2]\n"
+            "assert J._partial_cell_counts(t)['n'].to_pylist() != []\n"
+            "assert J._footprint_cells(t, 18).num_rows >= 3\n"
+            "assert len(J._route_fc(joined.to_pandas())) == 1\n"
+            "assert 'geotile.synth' not in sys.modules, 'a join stage imported geotile.synth'\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        res = subprocess.run([sys.executable, "-c", script], cwd=root,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+
+    def test_rows_without_lonlat_raise(self):
+        import pyarrow as pa
+
+        from geotile.ops.join import KnnStage, _partial_cell_counts
+        from geotile.ops.tiles import georef_batch
+
+        t = pa.table({"image_id": ["img-00000001"], "caption": ["c"]})
+        for run in (lambda: georef_batch(t, 18), lambda: _partial_cell_counts(t),
+                    lambda: KnnStage({"R": [np.zeros((2, 2))]})(t)):
+            with pytest.raises(ValueError, match="JOIN_COLUMNS"):
+                run()

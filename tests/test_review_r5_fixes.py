@@ -136,24 +136,6 @@ def test_ngram_prefix_vectorized_parity(ray_session):
                        .values.tolist())) == sorted(want))
 
 
-def test_georef_stored_and_derived_paths_agree(ray_session):
-    """georef_batch's two paths — stored lon/lat columns (JOIN_COLUMNS
-    read) vs id-derived placement — must agree bit-for-bit, or the
-    checkpointed join and its oracle replay would diverge depending on
-    which columns a caller read."""
-    import numpy as np
-
-    from geotile.synth import make_image_batch
-    from geotile.ops.tiles import georef_batch
-
-    t = make_image_batch(np.arange(500), w=8, h=8)
-    with_cols = georef_batch(
-        t.select(["image_id", "caption", "lon", "lat"]), 16)
-    derived = georef_batch(t.select(["image_id", "caption"]), 16)
-    for c in ("lon", "lat", "cell"):
-        assert with_cols[c].to_pylist() == derived[c].to_pylist(), c
-
-
 def _mk_knn_stage(routes):
     import numpy as np
 
@@ -172,8 +154,6 @@ def _mk_knn_stage(routes):
                  for p in routes[r]] for r in self.route_ids]
             self.mx, self.my = mx, my
             self.seg = None
-            self.n_segs = sum(max(len(p) - 1, 0)
-                              for parts in self.lines for p in parts)
 
     return S()
 
@@ -197,9 +177,8 @@ def test_knn_pruned_scan_bit_identical(ray_session):
     """The cell-pruned exact kNN scan must return a BIT-identical
     (indices, distances) result to the straight all-segments scan —
     pruning may only skip segments that provably cannot be any point's
-    minimum — including for out-of-range coordinates (cells.encode
-    CLIPS them into a boundary cell they are not inside, so those
-    points must take the straight scan)."""
+    minimum. Out-of-range coordinates never reach this scan: KnnStage
+    drops them first (tests/test_join.py::TestInvalidCoordinates)."""
     import numpy as np
 
     import geotile.ops.join as J
@@ -210,9 +189,6 @@ def test_knn_pruned_scan_bit_identical(ray_session):
     n = 5000
     lon = rng.uniform(-122.45, -122.10, n)
     lat = rng.uniform(37.40, 37.75, n)
-    # out-of-range rows: the containment assumption breaks for these
-    lon[17] = -190.0
-    lat[23] = 91.0
     px = (lon - J._ANCHOR_LON) * mx
     py = (lat - J._ANCHOR_LAT) * my
     d_old = np.stack([st._route_dist(j, px, py)
@@ -224,19 +200,11 @@ def test_knn_pruned_scan_bit_identical(ray_session):
 
 
 def test_knn_pruned_gate_and_nan_geometry(ray_session):
-    """The dispatch gate routes big batches with enough segments to
-    the pruned scan (and small ones away from it), and NaN route
-    geometry degrades to the straight scan's NaN propagation instead
-    of crashing on an empty pruned reduction."""
+    """NaN route geometry degrades to the straight scan's NaN
+    propagation instead of crashing on an empty pruned reduction."""
     import numpy as np
 
     import geotile.ops.join as J
-
-    st = _mk_knn_stage(_mk_routes())
-    assert st._use_pruned(5000)
-    assert not st._use_pruned(100)      # small batch
-    st_small = _mk_knn_stage(_mk_routes(n_routes=1, n_pts=5))
-    assert not st_small._use_pruned(5000)  # too few segments
 
     bad = _mk_routes()
     bad["R0"][0][3] = (np.nan, np.nan)
