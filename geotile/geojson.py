@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from geotile.geom.rdp import rdp, rdp_ring
+from geotile.geom.rdp import rdp, rdp_ring, round_coords
 
 _COLOR_KEYS = ("route_color", "route_text_color")
 
@@ -85,48 +85,43 @@ def assemble_fc(feature_jsons: list[str]) -> str:
 # simplification / rounding over feature dicts
 # ---------------------------------------------------------------------------
 
-def _round_half_up(x: float, p: int) -> float:
-    """JS-Math.round-compatible rounding (ties toward +Infinity):
-    Python round() is banker's (half-to-even), so ties at
-    coordinatePrecision could differ from @turf round (ADVICE r1)."""
-    import math
-
-    scale = 10.0 ** p
-    return math.floor(x * scale + 0.5) / scale
+# how many list levels wrap each type's (n, 2) position arrays (a Point
+# is its one position)
+_ARRAY_DEPTH = {"Point": 0, "MultiPoint": 0, "LineString": 0,
+                "MultiLineString": 1, "Polygon": 1, "MultiPolygon": 2}
 
 
-def _round_rec(c, p: int):
-    if isinstance(c, (int, float)):
-        return _round_half_up(float(c), p)
-    return [_round_rec(x, p) for x in c]
-
-
-def _simplify_coords(geom_type: str, coords, tol: float):
-    if geom_type == "LineString":
-        return rdp(np.asarray(coords, dtype=np.float64), tol).tolist()
-    if geom_type == "MultiLineString":
-        return [rdp(np.asarray(ls, dtype=np.float64), tol).tolist() for ls in coords]
-    if geom_type == "Polygon":
-        return [rdp_ring(np.asarray(r, dtype=np.float64), tol).tolist() for r in coords]
-    return coords  # Point / MultiPolygon (skip rule) untouched
+def _map_arrays(coords, depth: int, fn):
+    if depth == 0:
+        return fn(np.asarray(coords, dtype=np.float64))
+    return [_map_arrays(c, depth - 1, fn) for c in coords]
 
 
 def simplify_feature(f: dict[str, Any], precision: int | None) -> dict[str, Any]:
     """Reference simplifyGeoJSON on ONE feature: no-op when precision is
-    None; MultiPolygon → truncate only; else RDP(tol=1/10**p) + round."""
+    None; MultiPolygon → truncate only; else RDP(tol=1/10**p) + round.
+    Each position array is simplified and rounded (``round_coords``,
+    JS Math.round half-up) in one numpy pass before ``tolist``."""
     if precision is None:
         return f
     g = f.get("geometry") or {}
     gt = g.get("type")
     if "coordinates" not in g:
         return f  # null/absent geometry is valid GeoJSON — pass through
-    if gt and gt != "MultiPolygon":
-        g = dict(g)
-        g["coordinates"] = _simplify_coords(gt, g["coordinates"], 1.0 / 10**precision)
-    g = dict(g)
-    g["coordinates"] = _round_rec(g["coordinates"], precision)
+    tol = 1.0 / 10**precision
+    simplify = {"LineString": rdp, "MultiLineString": rdp, "Polygon": rdp_ring}.get(gt)
+
+    def simplify_round(a: np.ndarray) -> list:
+        if simplify is not None:
+            a = simplify(a, tol)
+        a = round_coords(a, precision)
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite coordinate in a {gt} geometry")
+        return a.tolist()
+
     out = dict(f)
-    out["geometry"] = g
+    coords = _map_arrays(g["coordinates"], _ARRAY_DEPTH[gt], simplify_round)
+    out["geometry"] = {**g, "coordinates": coords}
     return out
 
 

@@ -10,7 +10,8 @@ difference is far below coordinatePrecision):
     per quarter = 32 vertices)
   * line buffer   → exact-per-pixel distance raster (distance_mask) at
     ``radius / cells_per_radius`` resolution, traced back to polygons
-    with marching squares and RDP-smoothed at half a pixel
+    with one-scan marching squares (trace_mask) and always RDP-smoothed
+    at half a pixel (level-batched rdp_ring)
 
 Earth radius matches @turf/helpers (6371008.8 m).
 """
@@ -105,7 +106,6 @@ def buffer_polyline(
     lines: list[np.ndarray],
     radius_m: float,
     cells_per_radius: int = 8,
-    simplify: bool = True,
     fill_rings: list[np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Buffer one or more polylines ((m,2) lon/lat arrays, treated as one
@@ -120,9 +120,8 @@ def buffer_polyline(
     polys = mask_to_polygons(mask, grid)
     out: list[tuple[np.ndarray, list[np.ndarray]]] = []
     for outer, holes in polys:
-        if simplify:
-            outer = rdp_ring(outer, step * 0.5)
-            holes = [rdp_ring(h, step * 0.5) for h in holes]
+        outer = rdp_ring(outer, step * 0.5)
+        holes = [rdp_ring(h, step * 0.5) for h in holes]
         out.append(
             (
                 _to_lonlat(outer, lon0, lat0, mx, my),

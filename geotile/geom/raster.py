@@ -11,7 +11,10 @@ Pipeline pieces (all pure numpy):
                     (this IS the line buffer, computed exactly per pixel)
   trace_mask        boolean mask → closed boundary rings via marching
                     squares (deterministic; outer rings CCW, holes CW,
-                    filled region always on the LEFT of travel)
+                    filled region always on the LEFT of travel): one
+                    scan finds the boundary windows, one case-table
+                    gather emits their segments, chain_ring_keys links
+                    them — work beyond the scan is O(perimeter)
   mask_to_polygons  rings → [(outer, [holes])] with hole containment
   polygon_cover_cells / cells_to_mask
                     polygon ↔ cell-id set at a cells.py resolution
@@ -178,56 +181,47 @@ _CASE_SEGMENTS: dict[int, list[tuple[int, int]]] = {
 }
 
 
-def _midpoint_coords(which: int, ix: np.ndarray, iy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if which == _S:
-        return 2 * ix + 1, 2 * iy
-    if which == _E:
-        return 2 * ix + 2, 2 * iy + 1
-    if which == _N:
-        return 2 * ix + 1, 2 * iy + 2
-    return 2 * ix, 2 * iy + 1  # _W
+# doubled-node offset of each edge midpoint from its window's (2ix, 2iy)
+_MID_DX = np.array([1, 2, 1, 0], dtype=np.int64)
+_MID_DY = np.array([0, 1, 2, 1], dtype=np.int64)
+# case → up to two (from, to) midpoint pairs; -1 pads the unused slot
+_SEG_TABLE = np.full((16, 2, 2), -1, dtype=np.int64)
+for _c, _segs in _CASE_SEGMENTS.items():
+    _SEG_TABLE[_c, :len(_segs)] = _segs
+
+
+def _emit_segments(
+    ix: np.ndarray, iy: np.ndarray, case: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every directed contour segment of the windows anchored at (ix, iy)
+    with marching-squares ``case``, in one ``_SEG_TABLE`` gather (cases 0
+    and 15 emit nothing). Returns doubled-node (fx, fy, tx, ty)."""
+    seg = _SEG_TABLE[case].reshape(-1, 2)  # window-major, slot-minor
+    live = seg[:, 0] >= 0
+    seg = seg[live]
+    x2 = (2 * ix).repeat(2)[live]
+    y2 = (2 * iy).repeat(2)[live]
+    frm, to = seg[:, 0], seg[:, 1]
+    return x2 + _MID_DX[frm], y2 + _MID_DY[frm], x2 + _MID_DX[to], y2 + _MID_DY[to]
 
 
 def trace_mask(mask: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Boolean (ny, nx) mask → list of closed rings in world coords.
     Outer rings are CCW (signed_area > 0), holes CW. Deterministic:
     rings start at the smallest doubled-integer key and are returned
-    sorted by that key."""
+    sorted by that key (``chain_ring_keys``). One scan finds the
+    boundary windows; only those are classified into segments."""
     m = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=np.uint8)
     m[1:-1, 1:-1] = mask
-    v00 = m[:-1, :-1]
-    v10 = m[:-1, 1:]
-    v11 = m[1:, 1:]
-    v01 = m[1:, :-1]
-    case = (v00 | (v10 << 1) | (v11 << 2) | (v01 << 3)).astype(np.uint8)
+    case = m[:-1, :-1] | (m[:-1, 1:] << 1) | (m[1:, 1:] << 2) | (m[1:, :-1] << 3)
+    w = np.flatnonzero((case != 0) & (case != 15))
+    jy, jx = np.divmod(w, case.shape[1])
+    fx, fy, tx, ty = _emit_segments(jx, jy, case.ravel()[w])
     # keys pack doubled (x, y) node coords as x*key_mult + y; y ranges up
     # to 2*(ny+1)+2, so the multiplier must exceed that
     key_mult = np.int64(2 * (mask.shape[0] + 3))
-    nxt: dict[int, int] = {}
-    for c, segs in _CASE_SEGMENTS.items():
-        jy, jx = np.nonzero(case == c)
-        if len(jx) == 0:
-            continue
-        for frm, to in segs:
-            fx, fy = _midpoint_coords(frm, jx, jy)
-            tx, ty = _midpoint_coords(to, jx, jy)
-            fkeys = fx.astype(np.int64) * key_mult + fy
-            tkeys = tx.astype(np.int64) * key_mult + ty
-            nxt.update(zip(fkeys.tolist(), tkeys.tolist()))
     rings: list[np.ndarray] = []
-    visited: set[int] = set()
-    for start in sorted(nxt):
-        if start in visited:
-            continue
-        ring_keys = [start]
-        visited.add(start)
-        cur = nxt[start]
-        while cur != start:
-            ring_keys.append(cur)
-            visited.add(cur)
-            cur = nxt[cur]
-        ring_keys.append(start)
-        arr = np.asarray(ring_keys, dtype=np.int64)
+    for arr in chain_ring_keys(fx * key_mult + fy, tx * key_mult + ty):
         kx = arr // key_mult
         ky = arr % key_mult
         # doubled node coords → world: node = k/2 - 1 (padding), pixel
@@ -388,13 +382,14 @@ def cells_to_mask(cell_ids: np.ndarray) -> tuple[np.ndarray, Grid, float]:
 # ---------------------------------------------------------------------------
 # distributed marching squares (global lattice)
 #
-# The same case table as trace_mask, but windows are computed in GLOBAL
-# cell coordinates so edge extraction can run per coarse parent cell on
-# workers (each covered cell contributes its presence bit to the 4
-# windows that see it) and only the directed contour segments — 
-# O(perimeter), not O(area) — travel to the driver for ring chaining.
-# Keys are translation-equal to trace_mask's local keys, so ring order,
-# start nodes and traversal are identical to the in-memory path.
+# The same segment emitter as trace_mask (_emit_segments), but windows
+# are computed in GLOBAL cell coordinates so edge extraction can run per
+# coarse parent cell on workers (each covered cell contributes its
+# presence bit to the 4 windows that see it) and only the directed
+# contour segments — O(perimeter), not O(area) — travel to the driver.
+# Keys are translation-equal to trace_mask's local keys and both paths
+# chain through chain_ring_keys, so ring order, start nodes and
+# traversal are identical to the in-memory path by construction.
 # ---------------------------------------------------------------------------
 
 def global_key_mult(res: int) -> np.int64:
@@ -406,31 +401,19 @@ def window_segment_keys(
     gx: np.ndarray, gy: np.ndarray, case: np.ndarray, res: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Directed contour segments for windows anchored at global cell
-    coords (gx, gy) with marching-squares ``case`` — vectorized over the
-    15 cases. Returns packed (from_keys, to_keys)."""
+    coords (gx, gy) with marching-squares ``case`` — the same
+    ``_emit_segments`` gather as trace_mask. Returns packed
+    (from_keys, to_keys)."""
     KM = global_key_mult(res)
-    fs: list[np.ndarray] = []
-    ts: list[np.ndarray] = []
-    for c, segs in _CASE_SEGMENTS.items():
-        m = case == c
-        if not m.any():
-            continue
-        cx, cy = gx[m], gy[m]
-        for frm, to in segs:
-            fx, fy = _midpoint_coords(frm, cx, cy)
-            tx, ty = _midpoint_coords(to, cx, cy)
-            fs.append((fx + 2) * KM + (fy + 2))
-            ts.append((tx + 2) * KM + (ty + 2))
-    if not fs:
-        z = np.empty(0, np.int64)
-        return z, z
-    return np.concatenate(fs), np.concatenate(ts)
+    fx, fy, tx, ty = _emit_segments(gx, gy, case)
+    return (fx + 2) * KM + (fy + 2), (tx + 2) * KM + (ty + 2)
 
 
 def chain_ring_keys(frm: np.ndarray, to: np.ndarray) -> list[np.ndarray]:
-    """Chain directed segments into closed rings — the same
-    smallest-start-key / follow-next discipline as trace_mask, so ring
-    order and vertex sequences match the in-memory trace exactly."""
+    """Chain directed segments into closed rings: each ring starts at its
+    smallest key and rings come out in increasing start-key order.
+    trace_mask and the distributed dissolve both chain here, so
+    translation-equal keys give identical rings."""
     nxt: dict[int, int] = dict(zip(frm.tolist(), to.tolist()))
     rings: list[np.ndarray] = []
     visited: set[int] = set()

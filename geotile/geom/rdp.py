@@ -8,53 +8,75 @@ from __future__ import annotations
 
 import numpy as np
 
+# a valid polygon ring has 4 points including the closing one
+_RING_MIN_POINTS = 4
+
+
+def _chord_d2(sx, sy, ax, ay, dx, dy, L2, span):
+    """Squared distance of points (sx, sy) to the chord a→a+(dx, dy) of
+    their span; the per-span values are gathered by ``span``."""
+    ax, ay, dx, dy = ax[span], ay[span], dx[span], dy[span]
+    t = np.clip(((sx - ax) * dx + (sy - ay) * dy) / L2[span], 0.0, 1.0)
+    return (sx - (ax + t * dx)) ** 2 + (sy - (ay + t * dy)) ** 2
+
 
 def rdp(points: np.ndarray, tolerance: float) -> np.ndarray:
-    """Iterative (stack-based) RDP on an (n,2) array; returns the kept
-    points in original order. Distances are vectorized per split."""
+    """RDP on an (n,2) array; returns the kept points in original order.
+    Level-batched: all pending (lo, hi) spans of one level are measured
+    in one set of array ops, and each splits at the FIRST index of its
+    ``np.maximum.reduceat`` max, so the keep mask equals the scalar
+    recursion's. A NaN distance makes its span's max NaN: no split."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     if n <= 2 or tolerance <= 0:
         return pts.copy()
+    x, y = pts[:, 0], pts[:, 1]
     keep = np.zeros(n, dtype=bool)
     keep[0] = keep[-1] = True
-    tol2 = tolerance * tolerance
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        seg = pts[lo + 1:hi]
-        a, b = pts[lo], pts[hi]
-        dx, dy = b[0] - a[0], b[1] - a[1]
+    lo, hi = np.array([0]), np.array([n - 1])
+    while len(lo):
+        lens = hi - lo - 1  # interior points per span, all >= 1
+        starts = lens.cumsum() - lens
+        span = np.arange(len(lo)).repeat(lens)
+        i = np.arange(len(span)) + (lo + 1 - starts)[span]
+        ax, ay = x[lo], y[lo]
+        dx, dy = x[hi] - ax, y[hi] - ay
         L2 = dx * dx + dy * dy
-        if L2 == 0.0:
-            d2 = (seg[:, 0] - a[0]) ** 2 + (seg[:, 1] - a[1]) ** 2
+        sx, sy = x[i], y[i]
+        # coincident endpoints (a closed ring's first level) measure plain
+        # point distance; computed apart, so no level divides by zero
+        on_point = (L2 == 0.0)[span]
+        if on_point.any():
+            d2 = (sx - ax[span]) ** 2 + (sy - ay[span]) ** 2
+            c = ~on_point
+            d2[c] = _chord_d2(sx[c], sy[c], ax, ay, dx, dy, L2, span[c])
         else:
-            t = np.clip(((seg[:, 0] - a[0]) * dx + (seg[:, 1] - a[1]) * dy) / L2, 0.0, 1.0)
-            d2 = (seg[:, 0] - (a[0] + t * dx)) ** 2 + (seg[:, 1] - (a[1] + t * dy)) ** 2
-        imax = int(np.argmax(d2))
-        if d2[imax] > tol2:
-            mid = lo + 1 + imax
-            keep[mid] = True
-            stack.append((lo, mid))
-            stack.append((mid, hi))
+            d2 = _chord_d2(sx, sy, ax, ay, dx, dy, L2, span)
+        dmax = np.maximum.reduceat(d2, starts)
+        split = dmax > tolerance * tolerance
+        if not split.any():
+            break
+        mid = np.minimum.reduceat(np.where(d2 == dmax[span], i, n), starts)[split]
+        keep[mid] = True
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        wide = hi - lo >= 2
+        lo, hi = lo[wide], hi[wide]
     return pts[keep]
 
 
-def rdp_ring(ring: np.ndarray, tolerance: float, min_points: int = 4) -> np.ndarray:
+def rdp_ring(ring: np.ndarray, tolerance: float) -> np.ndarray:
     """RDP for a closed ring (first == last). Keeps the ring closed and
     refuses to collapse below a valid polygon ring (4 points incl. the
     closing one) — mirrors turf/simplify's ring-validity guard."""
     r = np.asarray(ring, dtype=np.float64)
-    if len(r) <= min_points:
+    if len(r) <= _RING_MIN_POINTS:
         return r.copy()
     out = rdp(r, tolerance)
     tol = tolerance
-    while len(out) < min_points and tol > 1e-12:
+    while len(out) < _RING_MIN_POINTS and tol > 1e-12:
         tol /= 2.0
         out = rdp(r, tol)
-    if len(out) < min_points:
+    if len(out) < _RING_MIN_POINTS:
         return r.copy()
     return out
 
