@@ -253,9 +253,9 @@ def build_route_index(
 # processes persist across tasks, so stateless map_batches TASKS get the
 # same once-per-process amortization as an actor pool WITHOUT reserving
 # CPUs (a fixed actor pool sized to the node starves the read stage —
-# observed as a 50× slowdown on an 8-CPU run). Bounded FIFO: a long
-# checkpointed run creates one ref per pipeline invocation; unbounded,
-# each worker would hoard one index copy per invocation.
+# observed as a 50× slowdown on an 8-CPU run). Bounded FIFO: a process
+# that calls the join repeatedly with fresh indexes (one ref each) would
+# otherwise hoard one index copy per call in every worker.
 _BROADCAST_CACHE: "OrderedDict[object, object]" = OrderedDict()
 _BROADCAST_CACHE_MAX = 8
 
@@ -290,9 +290,12 @@ def _cached_stage(key, factory):
 
 
 class SpatialJoinStage:
-    """The join kernel: image rows → (image_id, caption, lon, lat, cell,
-    route_id) assignment rows (inner join; tiles outside every buffer are
-    dropped, like the reference's usage semi-join).
+    """The join kernel: image rows → assignment rows, every input column
+    plus ``cell`` and ``route_id`` (inner join; tiles outside every buffer
+    are dropped, like the reference's usage semi-join). For
+    ``JOIN_COLUMNS`` input that is (image_id, caption, lon, lat, cell,
+    route_id); extra columns, e.g. a checkpointed read's ``path``, ride
+    along.
 
     Used as a plain function over batches (fused with the read, no
     reserved CPUs); the broadcast index is fetched once per worker
@@ -351,16 +354,11 @@ class SpatialJoinStage:
         else:
             kp = np.empty(0, np.int64)
             kr = np.empty(0, np.int32)
-        taken = geo.select(["image_id", "caption"]).take(pa.array(kp, pa.int64()))
         route_dict = pa.DictionaryArray.from_arrays(
             pa.array(kr, pa.int32()), pa.array(idxd.route_ids, pa.string())
         )
-        return (
-            taken.append_column("lon", pa.array(lon[kp]))
-            .append_column("lat", pa.array(lat[kp]))
-            .append_column("cell", pa.array(cell[kp].view(np.int64)))
-            .append_column("route_id", route_dict.cast(pa.string()))
-        )
+        return geo.take(pa.array(kp, pa.int64())).append_column(
+            "route_id", route_dict.cast(pa.string()))
 
 
 def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
@@ -377,8 +375,10 @@ def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
     executor, scales to every free CPU); the index is broadcast once via
     ``ray.put`` and cached per worker process. Pass an ``ObjectRef``
     (from ``ray.put(index)``) instead of the index when calling
-    repeatedly (e.g. per checkpoint partition) so workers reuse ONE
-    cached copy instead of caching one per invocation."""
+    repeatedly (e.g. a checkpointed run and its resume, one job each) so
+    workers reuse ONE cached copy instead of caching one per invocation.
+    Every input column rides through, so a checkpointed read's ``path``
+    reaches the writer."""
     index_ref = index if isinstance(index, ray.ObjectRef) else ray.put(index)
 
     def join_fn(batch: pa.Table) -> pa.Table:

@@ -79,6 +79,22 @@ class TestSpatialJoin:
         lon, lat = joined_df.lon.to_numpy(), joined_df.lat.to_numpy()
         assert (cells.encode(lon, lat, index.res) == cell).all()
 
+    def test_extra_input_columns_ride_along(self, image_table_dir, index):
+        import pyarrow as pa
+
+        from geotile.ops.join import SpatialJoinStage
+
+        stage = SpatialJoinStage(index)
+        t = pq.read_table(image_table_dir, columns=JOIN_COLUMNS + ["w"])
+        base = stage(t.select(JOIN_COLUMNS))
+        assert base.schema == pa.schema([
+            ("image_id", pa.string()), ("caption", pa.string()), ("lon", pa.float64()),
+            ("lat", pa.float64()), ("cell", pa.int64()), ("route_id", pa.string())])
+        extra = stage(t)
+        assert extra.drop_columns(["w"]).equals(base) and base.num_rows > 0
+        w_of = dict(zip(t["image_id"].to_pylist(), t["w"].to_pylist()))
+        assert extra["w"].to_pylist() == [w_of[i] for i in extra["image_id"].to_pylist()]
+
 
 class TestManyPolygons:
     def test_join_with_256_polygons_matches_oracle(self, ray_session, image_table_dir):
@@ -387,6 +403,132 @@ class TestCheckpoint:
         time.sleep(1.1)
         parts[0].touch()
         assert completed_partitions(out, parts) == set()
+
+    @staticmethod
+    def _part_rows(out, stem):
+        files = sorted((out / f"part={stem}").glob("*.parquet"))
+        return pq.read_table(files, partitioning=None).to_pylist() if files else []
+
+    def test_each_part_holds_its_shard_alone(self, ray_session, tmp_path, image_table_dir, index):
+        """Nine shards of different sizes, one far from every route: each
+        part=<stem> holds exactly what the join of that shard alone
+        gives, even when the pipeline's blocks span several shards."""
+        import pyarrow as pa
+        import ray.data as rd
+
+        from geotile.checkpoint import read_manifests, run_checkpointed
+
+        src = pq.read_table(image_table_dir, columns=JOIN_COLUMNS)
+        inp = tmp_path / "in"
+        inp.mkdir()
+        start = 0
+        for i, n in enumerate([37, 400, 1, 250, 90, 600, 13, 300, 209]):
+            t = src.slice(start, n)
+            start += n
+            if i == 3:  # no tile near any route: an empty join output
+                t = t.set_column(2, "lon", pa.array(np.full(n, 10.0)))
+            pq.write_table(t, inp / f"s{i}.parquet")
+        out = tmp_path / "out"
+        # repartition(2) makes every block span several shards
+        s = run_checkpointed(inp, out, lambda ds: spatial_join(ds.repartition(2), index),
+                             columns=JOIN_COLUMNS)
+        assert s["partitions_run"] == 9
+        key = lambda r: (r["image_id"], r["route_id"])
+        for shard in sorted(inp.glob("*.parquet")):
+            alone = spatial_join(rd.read_parquet(str(shard), columns=JOIN_COLUMNS), index).take_all()
+            got = self._part_rows(out, shard.stem)
+            assert sorted(got, key=key) == sorted(alone, key=key), shard.stem
+        m = {r["partition"]: r["output_rows"] for r in read_manifests(out)}
+        assert m["s3"] == 0 and (out / "part=s3").is_dir()
+        assert sum(m.values()) == s["rows"] > 0
+
+    def test_unreported_files_never_commit(self, ray_session, tmp_path, index):
+        """A file in .tmp-<stem> that the job did not report (what a
+        retried writer task leaves behind) never reaches part=<stem> or
+        output_rows."""
+        import uuid
+        from pathlib import Path
+
+        from geotile.checkpoint import read_manifests, run_checkpointed
+        from geotile.synth import make_image_table
+
+        inp = make_image_table(2000, tmp_path / "img", rows_per_file=1000)
+        out = tmp_path / "out"
+
+        def plant(t):
+            for path in set(t["path"].to_pylist()):
+                stray = out / f".tmp-{Path(path).stem}" / f"{uuid.uuid4().hex}.parquet"
+                pq.write_table(t.drop_columns(["path"]), stray)
+            return t
+
+        s = run_checkpointed(
+            inp, out, lambda ds: spatial_join(ds, index).map_batches(plant, batch_format="pyarrow"),
+            columns=JOIN_COLUMNS)
+        clean = run_checkpointed(inp, tmp_path / "clean", self._pipeline(index), columns=JOIN_COLUMNS)
+        assert s["rows"] == clean["rows"] > 0
+        assert sum(m["output_rows"] for m in read_manifests(out)) == clean["rows"]
+        assert len(pq.read_table(sorted(out.glob("part=*/*.parquet")))) == clean["rows"]
+
+    def test_pipeline_must_keep_path(self, ray_session, tmp_path):
+        import pyarrow as pa
+
+        from geotile.checkpoint import read_manifests, run_checkpointed
+
+        shard = tmp_path / "in" / "p0.parquet"
+        shard.parent.mkdir()
+        pq.write_table(pa.table({"x": [1, 2, 3]}), shard)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="row-local and keep 'path'"):
+            run_checkpointed(shard.parent, out, lambda ds: ds.select_columns(["x"]))
+        assert read_manifests(out) == [] and not list(out.iterdir())
+
+    def test_input_path_column_rejected(self, ray_session, tmp_path):
+        import pyarrow as pa
+
+        from geotile.checkpoint import run_checkpointed
+
+        shard = tmp_path / "in" / "p0.parquet"
+        shard.parent.mkdir()
+        pq.write_table(pa.table({"x": [1], "path": ["elsewhere.parquet"]}), shard)
+        with pytest.raises(ValueError, match="own 'path' column"):
+            run_checkpointed(shard.parent, tmp_path / "out", lambda ds: ds)
+
+    @pytest.mark.parametrize("text", ["", "{\"partition\": ", "[]"])
+    def test_bad_manifest_reruns(self, ray_session, tmp_path, index, text):
+        from geotile.checkpoint import manifest_path, read_manifests, run_checkpointed
+        from geotile.synth import make_image_table
+
+        inp = make_image_table(2000, tmp_path / "img", rows_per_file=1000)
+        out = tmp_path / "out"
+        run_checkpointed(inp, out, self._pipeline(index), columns=JOIN_COLUMNS)
+        before = read_manifests(out)
+        stem = before[0]["partition"]
+        manifest_path(out, stem).write_text(text)
+        s = run_checkpointed(inp, out, self._pipeline(index), columns=JOIN_COLUMNS)
+        assert s["partitions_run"] == 1 and s["partitions_skipped"] == 1
+        after = read_manifests(out)
+        assert [m["output_rows"] for m in after] == [m["output_rows"] for m in before]
+        assert len(self._part_rows(out, stem)) == after[0]["output_rows"]
+
+    def test_part_dir_without_manifest_reruns(self, ray_session, tmp_path, index):
+        """A crash between the rename and the manifest write leaves a
+        part=<stem> directory without a manifest: the shard reruns and
+        none of the stale files survive."""
+        from geotile.checkpoint import manifest_path, read_manifests, run_checkpointed
+        from geotile.synth import make_image_table
+
+        inp = make_image_table(2000, tmp_path / "img", rows_per_file=1000)
+        out = tmp_path / "out"
+        run_checkpointed(inp, out, self._pipeline(index), columns=JOIN_COLUMNS)
+        stem = read_manifests(out)[0]["partition"]
+        manifest_path(out, stem).unlink()
+        stale = sorted((out / f"part={stem}").glob("*.parquet"))
+        (out / f"part={stem}" / "stale.parquet").write_bytes(stale[0].read_bytes())
+        s = run_checkpointed(inp, out, self._pipeline(index), columns=JOIN_COLUMNS)
+        assert s["partitions_run"] == 1 and s["partitions_skipped"] == 1
+        names = {f.name for f in (out / f"part={stem}").iterdir()}
+        assert not names & ({"stale.parquet"} | {f.name for f in stale})
+        assert len(self._part_rows(out, stem)) == read_manifests(out)[0]["output_rows"] > 0
 
 
 def _knn_brute_force(routes, lon, lat, k):
