@@ -14,14 +14,24 @@ from __future__ import annotations
 import numpy as np
 
 
-def _edges(rings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    x1s, y1s, x2s, y2s = [], [], [], []
+def close_rings(rings: list[np.ndarray]) -> list[np.ndarray]:
+    """The rings the even-odd test sees: float64, closed (the first
+    vertex appended when last != first); rings under 3 vertices bound
+    nothing and are dropped."""
+    out = []
     for ring in rings:
         r = np.asarray(ring, dtype=np.float64)
         if len(r) < 3:
             continue
         if not (r[0] == r[-1]).all():
             r = np.vstack([r, r[:1]])
+        out.append(r)
+    return out
+
+
+def _edges(rings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    x1s, y1s, x2s, y2s = [], [], [], []
+    for r in close_rings(rings):
         x1s.append(r[:-1, 0]); y1s.append(r[:-1, 1])
         x2s.append(r[1:, 0]); y2s.append(r[1:, 1])
     if not x1s:

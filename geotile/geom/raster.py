@@ -16,8 +16,10 @@ Pipeline pieces (all pure numpy):
                     gather emits their segments, chain_ring_keys links
                     them — work beyond the scan is O(perimeter)
   mask_to_polygons  rings → [(outer, [holes])] with hole containment
-  polygon_cover_cells / cells_to_mask
-                    polygon ↔ cell-id set at a cells.py resolution
+  polygon_cover / cells_to_mask
+                    polygon ↔ cell-id set at a cells.py resolution; the
+                    boundary part is one batched ``supercover`` over
+                    every edge
 
 Frames: a ``Grid`` is an axis-aligned frame with pixel (ix, iy) center
 at (x0 + (ix+0.5)*step, y0 + (iy+0.5)*step); y increases upward so the
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from geotile.geom import cells as cellmod
-from geotile.geom.pip import signed_area, points_in_polygon
+from geotile.geom.pip import close_rings, points_in_polygon, signed_area
 
 
 @dataclass(frozen=True)
@@ -247,22 +249,27 @@ def _contains(pt: np.ndarray, ring: np.ndarray) -> bool:
 # polygon ↔ cell-id set (the H3-mask side of raster↔vector)
 # ---------------------------------------------------------------------------
 
-def polygon_cover_cells(
-    rings: list[np.ndarray], res: int, return_interior: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """uint64 cell ids (cells.py, resolution ``res``) that the polygon
-    touches: all cells whose center is inside (scanline) plus every cell
-    crossed by a boundary edge (supercover grid traversal) — a superset
-    of the true intersection set is fine for join candidate generation;
-    the exact PIP test runs on candidates afterwards.
+def polygon_cover(
+    rings: list[np.ndarray], res: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cell cover of a polygon at a cells.py resolution ``res``, with
+    its parts: ``(cover, interior, edge, edge_cell)``.
 
-    With ``return_interior=True`` also returns the FULLY-INSIDE subset
-    (center inside and not crossed by any boundary edge): points in
-    those cells are inside the polygon with no further test — the
-    "full containment" fast path of the spatial join."""
+    ``cover`` holds every cell whose center is inside (scanline) plus
+    every cell a boundary edge crosses (one batched ``supercover``) — a
+    superset of the true intersection set, which is fine for join
+    candidate generation. ``interior`` is the FULLY-INSIDE subset (center
+    inside, crossed by no edge): points there are inside the polygon
+    with no further test. ``(edge[i], edge_cell[i])`` are the (edge,
+    cell) crossings, one per pair; edges are numbered in ring order over
+    the ``pip.close_rings`` rings. Cell ids are sorted and unique."""
+    rings = close_rings(rings)
+    empty = np.empty(0, np.uint64)
+    if not rings:
+        return empty, empty, np.empty(0, np.int64), empty
     dlon, dlat = cellmod.cell_size_degrees(res)
-    allx = np.concatenate([np.asarray(r)[:, 0] for r in rings])
-    ally = np.concatenate([np.asarray(r)[:, 1] for r in rings])
+    allx = np.concatenate([r[:, 0] for r in rings])
+    ally = np.concatenate([r[:, 1] for r in rings])
     n = 1 << res
     ix_min = int(np.floor((allx.min() + 180.0) / dlon)) - 1
     iy_min = int(np.floor((ally.min() + 90.0) / dlat)) - 1
@@ -273,20 +280,21 @@ def polygon_cover_cells(
     # center-inside fill: reuse polygon_mask on a lon-scaled frame.
     # polygon_mask assumes square steps, so scale lat into lon units.
     sy = dlon / dlat
-    scaled = [np.column_stack([np.asarray(r)[:, 0], np.asarray(r)[:, 1] * sy]) for r in rings]
+    scaled = [np.column_stack([r[:, 0], r[:, 1] * sy]) for r in rings]
     g = Grid(x0=x0, y0=(-90.0 + iy_min * dlat) * sy, step=dlon, nx=nx, ny=ny)
     inside = polygon_mask(scaled, g)
-    # boundary supercover: mark every cell an edge passes through
-    # (exact parametric traversal — no false negatives, no dilation)
-    edge = np.zeros_like(inside)
-    for r in rings:
-        r = np.asarray(r, dtype=np.float64)
-        for k in range(len(r) - 1):
-            _supercover_mark(edge, r[k], r[k + 1], ix_min, iy_min, dlon, dlat)
-    m = inside | edge
+    # boundary supercover in the local frame: every cell an edge passes
+    # through (exact parametric traversal — no false negatives)
+    a = np.vstack([r[:-1] for r in rings])
+    b = np.vstack([r[1:] for r in rings])
+    edge_i, jx, jy = supercover(
+        (a[:, 0] + 180.0) / dlon - ix_min, (a[:, 1] + 90.0) / dlat - iy_min,
+        (b[:, 0] + 180.0) / dlon - ix_min, (b[:, 1] + 90.0) / dlat - iy_min,
+    )
+    edge = np.zeros_like(inside)  # the padded frame holds every edge
+    edge[jy, jx] = True
 
-    def _ids(mm: np.ndarray) -> np.ndarray:
-        jy, jx = np.nonzero(mm)
+    def _ids(jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
         # CLAMP, matching cells._quantize (and its SQL oracle replay):
         # a % n wrap sent east-edge cells to column 0 while encode()
         # clamps points at lon=180 to column n-1 — the one disagreement
@@ -295,60 +303,66 @@ def polygon_cover_cells(
         # no-false-negative invariant should not depend on that)
         gx = np.clip(jx + ix_min, 0, n - 1)
         gy = np.clip(jy + iy_min, 0, n - 1)
-        return np.unique(cellmod.from_ixy(gx.astype(np.uint64), gy.astype(np.uint64), res))
+        return cellmod.from_ixy(gx.astype(np.uint64), gy.astype(np.uint64), res)
 
-    if return_interior:
-        return _ids(m), _ids(inside & ~edge)
-    return _ids(m)
+    # the clamp can fold two cells of one edge into one: keep each pair
+    # once (cell ids stay below 2**63, so the int64 view keeps order)
+    crossing = np.unique(np.column_stack([edge_i, _ids(jx, jy).view(np.int64)]), axis=0)
+    return (np.unique(_ids(*np.nonzero(inside | edge)[::-1])),
+            np.unique(_ids(*np.nonzero(inside & ~edge)[::-1])),
+            crossing[:, 0], crossing[:, 1].view(np.uint64))
 
 
-def _supercover_mark(
-    m: np.ndarray, a: np.ndarray, b: np.ndarray,
-    ix_min: int, iy_min: int, dlon: float, dlat: float,
-) -> None:
-    """Mark ALL grid cells the segment a→b passes through — exact: split
-    the segment at every grid-line crossing (parametric) and mark the
-    cell containing each sub-segment midpoint."""
-    ax = (a[0] + 180.0) / dlon - ix_min
-    ay = (a[1] + 90.0) / dlat - iy_min
-    bx = (b[0] + 180.0) / dlon - ix_min
-    by = (b[1] + 90.0) / dlat - iy_min
+def polygon_cover_cells(rings: list[np.ndarray], res: int) -> np.ndarray:
+    """uint64 cell ids (cells.py, resolution ``res``) that the polygon
+    touches: ``polygon_cover``'s cover."""
+    return polygon_cover(rings, res)[0]
+
+
+def supercover(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every lattice cell each segment (ax, ay)→(bx, by) passes through,
+    for many segments in one pass. Coordinates are in lattice units:
+    cell (ix, iy) spans [ix, ix+1) × [iy, iy+1). Exact parametric
+    traversal: each segment is split at every grid-line crossing and the
+    cell holding each piece's midpoint is taken. Returns int64
+    ``(seg, ix, iy)``, unique and sorted by (seg, ix, iy); ``seg``
+    indexes the input. A segment with a non-finite endpoint covers
+    nothing."""
+    ax, ay, bx, by = (np.asarray(v, np.float64).ravel() for v in (ax, ay, bx, by))
+    seg = np.flatnonzero(np.isfinite(ax) & np.isfinite(ay)
+                         & np.isfinite(bx) & np.isfinite(by))
+    ax, ay, bx, by = ax[seg], ay[seg], bx[seg], by[seg]
     dx, dy = bx - ax, by - ay
-    ts = [np.array([0.0, 1.0])]
-    if dx != 0.0:
-        gx = np.arange(np.ceil(min(ax, bx)), np.floor(max(ax, bx)) + 1)
-        ts.append((gx - ax) / dx)
-    if dy != 0.0:
-        gy = np.arange(np.ceil(min(ay, by)), np.floor(max(ay, by)) + 1)
-        ts.append((gy - ay) / dy)
-    t = np.unique(np.clip(np.concatenate(ts), 0.0, 1.0))
-    tm = (t[:-1] + t[1:]) / 2.0
-    xs = np.floor(ax + dx * tm).astype(np.int64)
-    ys = np.floor(ay + dy * tm).astype(np.int64)
-    ok = (xs >= 0) & (xs < m.shape[1]) & (ys >= 0) & (ys < m.shape[0])
-    m[ys[ok], xs[ok]] = True
-
-
-def segment_cover_cells(a, b, res: int) -> np.ndarray:
-    """uint64 cell ids (cells.py) that segment a→b passes through —
-    exact parametric traversal in the global cell lattice."""
-    dlon, dlat = cellmod.cell_size_degrees(res)
-    n = 1 << res
-    ax, ay = (a[0] + 180.0) / dlon, (a[1] + 90.0) / dlat
-    bx, by = (b[0] + 180.0) / dlon, (b[1] + 90.0) / dlat
-    dx, dy = bx - ax, by - ay
-    ts = [np.array([0.0, 1.0])]
-    if dx != 0.0:
-        gx = np.arange(np.ceil(min(ax, bx)), np.floor(max(ax, bx)) + 1)
-        ts.append((gx - ax) / dx)
-    if dy != 0.0:
-        gy = np.arange(np.ceil(min(ay, by)), np.floor(max(ay, by)) + 1)
-        ts.append((gy - ay) / dy)
-    t = np.unique(np.clip(np.concatenate(ts), 0.0, 1.0))
-    tm = (t[:-1] + t[1:]) / 2.0
-    ix = np.clip(np.floor(ax + dx * tm).astype(np.int64), 0, n - 1)
-    iy = np.clip(np.floor(ay + dy * tm).astype(np.int64), 0, n - 1)
-    return np.unique(cellmod.from_ixy(ix.astype(np.uint64), iy.astype(np.uint64), res))
+    every = np.arange(len(seg))
+    ts, owner = [np.zeros(len(seg)), np.ones(len(seg))], [every, every]
+    for a, b, d in ((ax, bx, dx), (ay, by, dy)):
+        # the integer grid lines in [a, b] along this axis, as t values
+        lo = np.ceil(np.minimum(a, b))
+        hi = np.floor(np.maximum(a, b))
+        cnt = np.where(d != 0.0, np.maximum(hi - lo + 1.0, 0.0), 0.0).astype(np.int64)
+        own = np.repeat(every, cnt)
+        k = np.arange(len(own)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        ts.append((lo[own] + k - a[own]) / d[own])
+        owner.append(own)
+    t = np.clip(np.concatenate(ts), 0.0, 1.0)
+    own = np.concatenate(owner)
+    o = np.lexsort((t, own))
+    t, own = t[o], own[o]
+    new = np.ones(len(t), bool)
+    new[1:] = (own[1:] != own[:-1]) | (t[1:] != t[:-1])
+    t, own = t[new], own[new]
+    piece = own[1:] == own[:-1]  # consecutive t of one segment bound a piece
+    own = own[:-1][piece]
+    tm = (t[:-1][piece] + t[1:][piece]) / 2.0
+    ix = np.floor(ax[own] + dx[own] * tm).astype(np.int64)
+    iy = np.floor(ay[own] + dy[own] * tm).astype(np.int64)
+    o = np.lexsort((iy, ix, own))
+    own, ix, iy = own[o], ix[o], iy[o]
+    new = np.ones(len(o), bool)
+    new[1:] = (own[1:] != own[:-1]) | (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    return seg[own[new]], ix[new], iy[new]
 
 
 def cells_to_mask(cell_ids: np.ndarray) -> tuple[np.ndarray, Grid, float]:

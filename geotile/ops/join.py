@@ -3,13 +3,14 @@ against route buffer polygons, plus kNN and per-cell tile counts.
 
 North-star shape (BASELINE.json): tile centroids (the "stops" of the
 reference's stop→route assignment, SURVEY §2.4 J1) are cell-encoded per
-batch, candidate route polygons come from a broadcast cell→polygon index
-built ONCE per actor (``ray.put`` on the driver, ``ray.get`` in
-``__init__``), and the exact even-odd PIP test runs vectorized on the
-candidates. No shuffle touches the 10^12-row side: the polygon side is
-dimension-scale and broadcast, which is the explicit skew strategy for
-the join itself; the per-cell counts combine per block and merge in a
-two-level tree.
+batch, candidate route polygons come from a broadcast flat cell→polygon
+index (``RouteIndex``: ``ray.put`` on the driver, fetched once per worker
+process), and the exact test runs on the boundary candidates only. The
+kernel is loop-free: one sorted cell lookup per batch, then one crossing
+test over every edge of every boundary pair. No shuffle touches the
+10^12-row side: the polygon side is dimension-scale and broadcast,
+which is the explicit skew strategy for the join itself; the per-cell
+counts combine per block and merge in a two-level tree.
 
 Rows whose lon/lat ``cells.encode`` would clamp into an edge cell (NaN,
 infinite or out of range) never join and never count.
@@ -22,7 +23,7 @@ oracle).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -33,8 +34,8 @@ import ray.data as rd
 
 from geotile.geom import cells
 from geotile.geom.buffer import meter_frame
-from geotile.geom.pip import points_in_polygon, points_to_polyline_distance
-from geotile.geom.raster import polygon_cover_cells
+from geotile.geom.pip import close_rings, points_in_polygon, points_to_polyline_distance
+from geotile.geom.raster import polygon_cover, supercover
 from geotile.ops.tiles import footprint_quads, georef_batch, row_lonlat
 
 DEFAULT_JOIN_RES = 18  # ~120m × 76m cells: fine enough that most cover
@@ -45,161 +46,91 @@ _ANCHOR_LAT = 37.4
 _ANCHOR_LON = -122.1
 
 
-@dataclass
-class BoundaryPip:
-    """Grid-localized PIP for ONE polygon's boundary cells: each
-    boundary cell stores the edges passing through it plus the
-    inside/outside parity of an epsilon-inset cell corner. A point's
-    status = corner parity XOR (# local edges properly crossed by the
-    corner→point segment) — O(edges-in-cell)≈2 tests per point instead
-    of O(ring length)≈800."""
+FULL, OUTSIDE = -1, -2  # RouteIndex.cell_bnd codes of pairs needing no test
 
-    keys: np.ndarray        # sorted uint64 boundary-cell ids
-    corner_x: np.ndarray
-    corner_y: np.ndarray
-    corner_in: np.ndarray   # bool, PIP of the inset corner (build time)
-    offs: np.ndarray        # CSR per cell into the edge-pair arrays
+
+@dataclass
+class RouteIndex:
+    """Broadcastable flat cell→polygon index.
+
+    Polygon ``i`` is in route ``route_ids[poly_route[i]]``; polygon ids
+    rise with the route index (the polygon count is ``len(poly_route)``).
+    CSR over (cell, polygon) pairs sorted by cell, then polygon: cell
+    ``cell_keys[j]`` owns pairs ``cell_offsets[j]:cell_offsets[j+1]``,
+    each with its polygon, route and boundary record (``cell_bnd``, or
+    ``FULL``: cell inside the polygon; ``OUTSIDE``: no edge crosses the
+    cell and its corner is outside, e.g. the dilation ring).
+
+    Boundary record ``b`` is grid-localized PIP for one (cell, polygon)
+    pair: the epsilon-inset lower-left cell corner (``bnd_x``, ``bnd_y``),
+    its parity against the full rings (``bnd_in``) and the edges crossing
+    the cell, ``ex1/ey1/ex2/ey2[bnd_offs[b]:bnd_offs[b+1]]``. A point is
+    inside iff corner parity XOR (# those edges properly crossed by the
+    corner→point segment) — ~2 edge tests instead of the ring length.
+    """
+
+    res: int
+    route_ids: list[str]
+    poly_route: np.ndarray  # int32 → index into route_ids
+    cell_keys: np.ndarray   # uint64 sorted
+    cell_offsets: np.ndarray  # int32
+    cell_polys: np.ndarray  # int32
+    cell_route: np.ndarray  # int32, poly_route[cell_polys]
+    cell_bnd: np.ndarray    # int32 boundary record, or FULL / OUTSIDE
+    bnd_x: np.ndarray
+    bnd_y: np.ndarray
+    bnd_in: np.ndarray      # bool
+    bnd_offs: np.ndarray    # int32 CSR per record into the edge arrays
     ex1: np.ndarray
     ey1: np.ndarray
     ex2: np.ndarray
     ey2: np.ndarray
 
-    def contains(self, cell: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(self.keys, cell)
-        j = np.clip(j, 0, max(len(self.keys) - 1, 0))
-        found = self.keys[j] == cell if len(self.keys) else np.zeros(len(cell), bool)
-        inside = np.zeros(len(px), dtype=bool)
-        if not found.any():
-            return inside
-        jj = j[found]
-        cx, cy = self.corner_x[jj], self.corner_y[jj]
-        cin = self.corner_in[jj].copy()
-        cnt = (self.offs[jj + 1] - self.offs[jj]).astype(np.int64)
-        if cnt.sum():
-            pi = np.repeat(np.arange(len(jj)), cnt)
-            pos = np.repeat(self.offs[jj], cnt) + (
-                np.arange(len(pi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-            )
-            x1, y1 = self.ex1[pos], self.ey1[pos]
-            x2, y2 = self.ex2[pos], self.ey2[pos]
-            Cx, Cy = cx[pi], cy[pi]
-            Px, Py = px[found][pi], py[found][pi]
-            ex, ey = x2 - x1, y2 - y1
-            d1 = ex * (Cy - y1) - ey * (Cx - x1)
-            d2 = ex * (Py - y1) - ey * (Px - x1)
-            sx, sy = Px - Cx, Py - Cy
-            d3 = sx * (y1 - Cy) - sy * (x1 - Cx)
-            d4 = sx * (y2 - Cy) - sy * (x2 - Cx)
-            crosses = ((d1 * d2) < 0) & ((d3 * d4) < 0)
-            flips = np.zeros(len(jj), dtype=np.int64)
-            np.add.at(flips, pi, crosses.astype(np.int64))
-            cin ^= (flips & 1).astype(bool)
-        inside[found] = cin
-        return inside
+    @property
+    def cell_full(self) -> np.ndarray:
+        """Per pair: the cell is fully inside the polygon (no PIP test)."""
+        return self.cell_bnd == FULL
 
-
-@dataclass
-class RouteIndex:
-    """Broadcastable cell→polygon index + raw rings.
-
-    polygons[i] = list of rings (outer + holes) as float64 arrays;
-    poly_route[i] = route_id. CSR layout: for sorted unique cell key
-    ``cell_keys[j]``, candidate polygon ids are
-    ``cell_polys[cell_offsets[j]:cell_offsets[j+1]]``.
-    """
-
-    res: int
-    route_ids: list[str]
-    polygons: list[list[np.ndarray]]
-    poly_route: np.ndarray  # int32 → index into route_ids
-    cell_keys: np.ndarray   # uint64 sorted
-    cell_offsets: np.ndarray
-    cell_polys: np.ndarray
-    cell_full: np.ndarray = field(default=None)  # parallel to cell_polys: fully-inside flag
-    boundary_pip: list[BoundaryPip] = field(default=None)  # grid-localized PIP per polygon
+    def _pairs(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point_idx, pair) int32 for every candidate pair of a batch of
+        cells, in (point, polygon) order; ``pair`` indexes the CSR
+        arrays. The probes are sorted once (default introsort: a stable
+        sort costs ~4× more on uint64), each distinct cell is searched
+        once, and the CSR ranges are scattered back to point order."""
+        n = len(cell)
+        empty = np.empty(0, np.int32)
+        if len(self.cell_keys) == 0 or n == 0:
+            return empty, empty
+        order = np.argsort(cell)
+        probe = cell[order]
+        new = np.empty(n, bool)
+        new[0] = True
+        np.not_equal(probe[1:], probe[:-1], out=new[1:])
+        distinct = probe[new]
+        j = np.searchsorted(self.cell_keys, distinct)
+        np.minimum(j, len(self.cell_keys) - 1, out=j)
+        lo = self.cell_offsets[j]
+        cnt = self.cell_offsets[1:][j] - lo
+        cnt[self.cell_keys[j] != distinct] = 0
+        run = np.empty(n, np.int32)
+        run[order] = np.cumsum(new, dtype=np.int32) - 1
+        return _expand(lo.take(run), cnt.take(run))
 
     def candidates(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(point_idx, poly_idx, fully_inside) candidate pairs for a
-        batch of cells. ``fully_inside`` pairs need no PIP test."""
-        cell = np.asarray(cell, dtype=np.uint64)
-        empty = np.empty(0, np.int64)
-        if len(self.cell_keys) == 0 or len(cell) == 0:
-            return empty, empty, np.empty(0, bool)
-        j = np.searchsorted(self.cell_keys, cell)
-        j = np.clip(j, 0, len(self.cell_keys) - 1)
-        hit = self.cell_keys[j] == cell
-        pts = np.nonzero(hit)[0]
-        jj = j[hit]
-        counts = (self.cell_offsets[jj + 1] - self.cell_offsets[jj]).astype(np.int64)
-        point_idx = np.repeat(pts, counts)
-        if len(point_idx) == 0:
-            return empty, empty, np.empty(0, bool)
-        # gather CSR ranges vectorized: flat positions for each pair
-        starts = self.cell_offsets[jj]
-        pos = np.repeat(starts, counts) + (
-            np.arange(len(point_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-        )
-        return point_idx, self.cell_polys[pos], self.cell_full[pos]
+        batch of cells, in (point, polygon) order. ``fully_inside``
+        pairs need no PIP test."""
+        pt, pair = self._pairs(np.asarray(cell, dtype=np.uint64))
+        return pt, self.cell_polys[pair], self.cell_bnd[pair] == FULL
 
 
-def _build_boundary_pip(rings: list[np.ndarray], boundary: np.ndarray, res: int) -> BoundaryPip:
-    """Build the grid-localized PIP structure for one polygon: map each
-    ring edge to the boundary cells it passes through (exact supercover),
-    CSR-pack per cell, and evaluate the epsilon-inset corner of every
-    boundary cell against the full rings ONCE (driver-side)."""
-    from geotile.geom.raster import segment_cover_cells
-
-    boundary = np.sort(np.asarray(boundary, dtype=np.uint64))
-    seg_a, seg_b = [], []
-    for r in rings:
-        r = np.asarray(r, dtype=np.float64)
-        seg_a.append(r[:-1])
-        seg_b.append(r[1:])
-    A = np.vstack(seg_a)
-    B = np.vstack(seg_b)
-    pc_cells, pc_eids = [], []
-    nb = len(boundary)
-    for e in range(len(A)):
-        cc = segment_cover_cells(A[e], B[e], res)
-        if nb:  # sorted-membership test (np.isin would re-sort per edge)
-            pos = np.searchsorted(boundary, cc)
-            pos_c = np.minimum(pos, nb - 1)
-            cc = cc[boundary[pos_c] == cc]
-        else:
-            cc = cc[:0]
-        pc_cells.append(cc)
-        pc_eids.append(np.full(len(cc), e, dtype=np.int64))
-    cellcol = np.concatenate(pc_cells) if pc_cells else np.empty(0, np.uint64)
-    eidcol = np.concatenate(pc_eids) if pc_eids else np.empty(0, np.int64)
-    order = np.argsort(cellcol, kind="stable")
-    cellcol, eidcol = cellcol[order], eidcol[order]
-    starts = np.searchsorted(cellcol, boundary, side="left")
-    ends = np.searchsorted(cellcol, boundary, side="right")
-    # re-pack pairs so they are contiguous per boundary cell
-    counts = ends - starts
-    offs = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    take = np.concatenate(
-        [np.arange(s, e) for s, e in zip(starts, ends)]
-    ) if counts.sum() else np.empty(0, np.int64)
-    eids = eidcol[take]
-    # epsilon-inset lower-left corners + their inside status
-    w, s_, e_, n_ = cells.cell_bounds(boundary)
-    eps_x = (e_ - w) * 1e-6
-    eps_y = (n_ - s_) * 1e-6
-    cx = w + eps_x
-    cy = s_ + eps_y
-    corner_in = points_in_polygon(cx, cy, rings)
-    return BoundaryPip(
-        keys=boundary,
-        corner_x=cx,
-        corner_y=cy,
-        corner_in=corner_in,
-        offs=offs,
-        ex1=A[eids, 0].copy(),
-        ey1=A[eids, 1].copy(),
-        ex2=B[eids, 0].copy(),
-        ey2=B[eids, 1].copy(),
-    )
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ranges → (owner, pos) int32: range ``i`` yields ``count[i]``
+    entries ``start[i], start[i] + 1, …``, all owned by ``i``."""
+    owner = np.repeat(np.arange(len(count), dtype=np.int32), count)
+    pos = np.repeat(start - (np.cumsum(count, dtype=np.int32) - count), count)
+    pos += np.arange(len(owner), dtype=np.int32)
+    return owner, pos
 
 
 def build_route_index(
@@ -208,44 +139,96 @@ def build_route_index(
 ) -> RouteIndex:
     """Driver-side build (the polygon side is dimension-scale): cover
     cells per polygon, dilated one k-ring so centroid candidates are a
-    superset of true hits; CSR-pack cell→polys."""
+    superset of true hits; CSR-pack cell→polys; one boundary record per
+    (boundary cell, polygon) with the edges the cover's supercover put
+    in that cell.
+
+    Rings are closed first with the rule ``points_in_polygon`` uses
+    (``pip.close_rings``), so an open ring joins like its closed copy. A
+    non-finite vertex raises ``ValueError`` naming the route and the
+    polygon."""
     route_ids = sorted(route_polygons)
-    polygons: list[list[np.ndarray]] = []
     poly_route: list[int] = []
-    pairs_cell: list[np.ndarray] = []
-    pairs_poly: list[np.ndarray] = []
-    pairs_full: list[np.ndarray] = []
-    boundary_pips: list[BoundaryPip] = []
+    pairs_cell, pairs_poly, pairs_bnd = [], [], []
+    bnd_x, bnd_y, bnd_in, bnd_count = [], [], [], []
+    e_a, e_b = [], []
+    n_bnd = 0
     for ri, rid in enumerate(route_ids):
-        for outer, holes in route_polygons[rid]:
-            pid = len(polygons)
-            polygons.append([np.asarray(outer, np.float64)] + [np.asarray(h, np.float64) for h in holes])
+        for k, (outer, holes) in enumerate(route_polygons[rid]):
+            rings = close_rings([outer, *holes])
+            if not all(np.isfinite(r).all() for r in rings):
+                raise ValueError(
+                    f"route {rid!r} polygon {k}: non-finite vertex")
+            pid = len(poly_route)
             poly_route.append(ri)
-            rings = polygons[pid]
-            cov, interior = polygon_cover_cells(rings, res, return_interior=True)
+            if not rings:
+                continue  # no ring with area: no cells
+            cov, interior, edge, edge_cell = polygon_cover(rings, res)
             cov = np.unique(cells.k_ring(cov, 1).ravel())  # dilate 1 ring
             full = np.isin(cov, interior)
+            boundary = cov[~full]
+            # each (edge, cell) crossing lands in its cell's record;
+            # polygon_cover sorts them by edge, so a stable sort by
+            # record keeps edge order inside each record
+            rec = np.searchsorted(boundary, edge_cell)
+            ok = rec < len(boundary)
+            ok[ok] = boundary[rec[ok]] == edge_cell[ok]
+            rec, edge = rec[ok], edge[ok]
+            o = np.argsort(rec, kind="stable")
+            rec, edge = rec[o], edge[o]
+            n_edges = np.bincount(rec, minlength=len(boundary))
+            # epsilon-inset lower-left corners + their inside status
+            w, s_, e_, n_ = cells.cell_bounds(boundary)
+            cx = w + (e_ - w) * 1e-6
+            cy = s_ + (n_ - s_) * 1e-6
+            corner_in = points_in_polygon(cx, cy, rings)
+            # a cell no edge crosses takes its corner's status: drop the
+            # records of the ones outside
+            live = (n_edges > 0) | corner_in
+            rec_id = np.full(len(boundary), OUTSIDE, np.int64)
+            rec_id[live] = n_bnd + np.arange(int(live.sum()))
+            n_bnd += int(live.sum())
+            bnd = np.full(len(cov), FULL, np.int64)
+            bnd[~full] = rec_id
             pairs_cell.append(cov)
             pairs_poly.append(np.full(len(cov), pid, dtype=np.int32))
-            pairs_full.append(full)
-            boundary_pips.append(_build_boundary_pip(rings, cov[~full], res))
-    cell_all = np.concatenate(pairs_cell) if pairs_cell else np.empty(0, np.uint64)
-    poly_all = np.concatenate(pairs_poly) if pairs_poly else np.empty(0, np.int32)
-    full_all = np.concatenate(pairs_full) if pairs_full else np.empty(0, bool)
-    order = np.argsort(cell_all, kind="stable")
-    cell_all, poly_all, full_all = cell_all[order], poly_all[order], full_all[order]
+            pairs_bnd.append(bnd)
+            a = np.vstack([r[:-1] for r in rings])
+            b = np.vstack([r[1:] for r in rings])
+            e_a.append(a[edge])
+            e_b.append(b[edge])
+            bnd_count.append(n_edges[live])
+            bnd_x.append(cx[live])
+            bnd_y.append(cy[live])
+            bnd_in.append(corner_in[live])
+    cat = (lambda xs, dt: np.concatenate(xs).astype(dt, copy=False) if xs
+           else np.empty(0, dt))
+    cell_all = cat(pairs_cell, np.uint64)
+    poly_all = cat(pairs_poly, np.int32)
+    bnd_all = cat(pairs_bnd, np.int32)
+    order = np.argsort(cell_all, kind="stable")  # polygon order within a cell
+    cell_all, poly_all, bnd_all = cell_all[order], poly_all[order], bnd_all[order]
     keys, starts = np.unique(cell_all, return_index=True)
-    offsets = np.concatenate([starts, [len(cell_all)]]).astype(np.int64)
+    poly_route_a = np.asarray(poly_route, dtype=np.int32)
+    a = np.concatenate(e_a) if e_a else np.empty((0, 2))
+    b = np.concatenate(e_b) if e_b else np.empty((0, 2))
     return RouteIndex(
-        boundary_pip=boundary_pips,
         res=res,
         route_ids=route_ids,
-        polygons=polygons,
-        poly_route=np.asarray(poly_route, dtype=np.int32),
+        poly_route=poly_route_a,
         cell_keys=keys,
-        cell_offsets=offsets,
+        cell_offsets=np.concatenate([starts, [len(cell_all)]]).astype(np.int32),
         cell_polys=poly_all,
-        cell_full=full_all,
+        cell_route=poly_route_a[poly_all],
+        cell_bnd=bnd_all,
+        bnd_x=cat(bnd_x, np.float64),
+        bnd_y=cat(bnd_y, np.float64),
+        bnd_in=cat(bnd_in, bool),
+        bnd_offs=np.concatenate([[0], np.cumsum(cat(bnd_count, np.int64))]).astype(np.int32),
+        ex1=np.ascontiguousarray(a[:, 0]),
+        ey1=np.ascontiguousarray(a[:, 1]),
+        ex2=np.ascontiguousarray(b[:, 0]),
+        ey2=np.ascontiguousarray(b[:, 1]),
     )
 
 
@@ -300,65 +283,66 @@ class SpatialJoinStage:
     Used as a plain function over batches (fused with the read, no
     reserved CPUs); the broadcast index is fetched once per worker
     process via ``_get_broadcast`` (zero-copy numpy out of plasma).
-    ``__call__`` is batch-vectorized: encode the stored lon/lat → drop
-    invalid coordinates → cell lookup (searchsorted CSR) → exact PIP on
-    boundary candidates only.
+    ``__call__`` is one vectorized pass, no per-polygon loop: encode
+    the stored lon/lat → drop invalid coordinates → one sorted cell
+    lookup (``RouteIndex._pairs``) → fully-inside pairs kept as they are
+    → one crossing test over every edge of every boundary pair, parity
+    by ``np.bincount`` → (row, route) dedup by an adjacent-difference
+    mask, since pairs come in (row, polygon) order.
     """
 
     def __init__(self, index_ref):
         self.index: RouteIndex = _get_broadcast(index_ref)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        idxd = self.index
-        geo = georef_batch(batch, idxd.res)
+        idx = self.index
+        geo = georef_batch(batch, idx.res)
         lon = geo["lon"].to_numpy()
         lat = geo["lat"].to_numpy()
         cell = geo["cell"].to_numpy().view(np.uint64)
         valid = cells.valid_lonlat(lon, lat)
         if valid.all():
-            pt, pl, full = idxd.candidates(cell)
+            pt, pair = idx._pairs(cell)
         else:
             rows = np.flatnonzero(valid)
-            pt, pl, full = idxd.candidates(cell[rows])
+            pt, pair = idx._pairs(cell[rows])
             pt = rows[pt]
-        keep_pt: list[np.ndarray] = []
-        keep_route: list[np.ndarray] = []
-        if len(pt):
-            # fully-inside cells: accept without PIP (the fast path —
-            # typically the large majority of candidate pairs)
-            keep_pt.append(pt[full])
-            keep_route.append(idxd.poly_route[pl[full]].astype(np.int32))
-            pt, pl = pt[~full], pl[~full]
-            order = np.argsort(pl, kind="stable")
-            pt, pl = pt[order], pl[order]
-            bounds = np.searchsorted(pl, np.arange(len(idxd.polygons) + 1))
-            for pid in np.unique(pl):
-                s, e = bounds[pid], bounds[pid + 1]
-                cand = pt[s:e]
-                inside = idxd.boundary_pip[pid].contains(cell[cand], lon[cand], lat[cand])
-                hits = cand[inside]
-                if len(hits):
-                    keep_pt.append(hits)
-                    keep_route.append(np.full(len(hits), idxd.poly_route[pid], np.int32))
-            keep_pt = [a for a in keep_pt if len(a)]
-            keep_route = [a for a in keep_route if len(a)]
-        if keep_pt:
-            kp = np.concatenate(keep_pt)
-            kr = np.concatenate(keep_route)
-            # a tile can hit several polygons of one route — dedup pairs
-            key = kp.astype(np.int64) * len(idxd.route_ids) + kr
-            _, first = np.unique(key, return_index=True)
-            kp, kr = kp[first], kr[first]
-            order = np.lexsort((kr, kp))
-            kp, kr = kp[order], kr[order]
-        else:
-            kp = np.empty(0, np.int64)
-            kr = np.empty(0, np.int32)
-        route_dict = pa.DictionaryArray.from_arrays(
-            pa.array(kr, pa.int32()), pa.array(idxd.route_ids, pa.string())
-        )
-        return geo.take(pa.array(kp, pa.int64())).append_column(
-            "route_id", route_dict.cast(pa.string()))
+        # one crossing test over every edge of every boundary pair
+        # (1-D ``take`` and index lists: faster than fancy indexing and
+        # boolean compress at these sizes)
+        bnd = idx.cell_bnd.take(pair)
+        keep = bnd == FULL
+        tested = np.flatnonzero(bnd >= 0)
+        rec = bnd.take(tested)
+        start = idx.bnd_offs.take(rec)
+        pi, e = _expand(start, idx.bnd_offs[1:].take(rec) - start)
+        x1, y1, x2, y2 = idx.ex1.take(e), idx.ey1.take(e), idx.ex2.take(e), idx.ey2.take(e)
+        rp = rec.take(pi)
+        cx, cy = idx.bnd_x.take(rp), idx.bnd_y.take(rp)
+        tp = pt.take(tested).take(pi)
+        px, py = lon.take(tp), lat.take(tp)
+        ex, ey = x2 - x1, y2 - y1
+        d1 = ex * (cy - y1) - ey * (cx - x1)
+        d2 = ex * (py - y1) - ey * (px - x1)
+        sx, sy = px - cx, py - cy
+        d3 = sx * (y1 - cy) - sy * (x1 - cx)
+        d4 = sx * (y2 - cy) - sy * (x2 - cx)
+        crosses = ((d1 * d2) < 0) & ((d3 * d4) < 0)
+        flips = np.bincount(pi[crosses], minlength=len(rec))
+        keep[tested] = idx.bnd_in.take(rec) ^ (flips & 1).astype(bool)
+        kept = np.flatnonzero(keep)
+        kp = pt.take(kept)
+        kr = idx.cell_route.take(pair.take(kept))
+        # pairs are in (row, polygon) order and polygon ids rise with the
+        # route, so a tile hitting several polygons of one route repeats
+        # (row, route) on adjacent pairs: keep the first
+        first = np.empty(len(kp), bool)
+        first[:1] = True
+        np.not_equal(kp[1:], kp[:-1], out=first[1:])
+        first[1:] |= kr[1:] != kr[:-1]
+        first = np.flatnonzero(first)
+        return geo.take(pa.array(kp.take(first))).append_column(
+            "route_id", pa.array(idx.route_ids, pa.string()).take(pa.array(kr.take(first))))
 
 
 def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
@@ -417,41 +401,48 @@ class _KnnRingIndex:
 
     def __init__(self, routes: dict, route_ids: list[str], res: int,
                  mx: float, my: float):
-        from geotile.geom.raster import segment_cover_cells
-
         self.res = res
         dlon, dlat = cells.cell_size_degrees(res)
         self.min_dim_m = min(dlon * mx, dlat * my)
-        pairs_cell, pairs_route = [], []
+        n = 1 << res
+        seg_route, seg_a, seg_b, pt_cells, pt_route = [], [], [], [], []
         for ri, rid in enumerate(route_ids):
             parts = routes[rid] if isinstance(routes[rid], list) else [routes[rid]]
-            # segments with a non-finite endpoint have no cells to
-            # cover; the full-ring fallback still reaches their route
-            cov = [
-                segment_cover_cells(p[i], p[i + 1], res)
-                for p in parts
-                for i in range(len(p) - 1)
-                if np.isfinite(p[i:i + 2]).all()
-            ]
-            # single-point parts contribute no segments but ARE valid
-            # nearest-neighbor geometry (points_to_polyline_distance
-            # handles len==1) — cover their point cell so the ring
-            # lookup can see them
-            cov += [
-                cells.encode(p[:, 0], p[:, 1], res)
-                for p in parts
-                if len(p) == 1 and np.isfinite(p).all()
-            ]
-            u = np.unique(np.concatenate(cov)) if cov else np.empty(0, np.uint64)
-            pairs_cell.append(u)
-            pairs_route.append(np.full(len(u), ri, dtype=np.int32))
-        cell_all = np.concatenate(pairs_cell) if pairs_cell else np.empty(0, np.uint64)
-        route_all = np.concatenate(pairs_route) if pairs_route else np.empty(0, np.int32)
-        order = np.argsort(cell_all, kind="stable")
-        cell_all, route_all = cell_all[order], route_all[order]
-        self.keys, starts = np.unique(cell_all, return_index=True)
-        self.offsets = np.concatenate([starts, [len(cell_all)]]).astype(np.int64)
-        self.routes = route_all
+            for p in parts:
+                p = np.asarray(p, np.float64)
+                if len(p) == 1:
+                    # single-point parts contribute no segments but ARE
+                    # valid nearest-neighbor geometry
+                    # (points_to_polyline_distance handles len==1) —
+                    # cover their point cell so the ring lookup sees them
+                    if np.isfinite(p).all():
+                        pt_cells.append(cells.encode(p[:, 0], p[:, 1], res))
+                        pt_route.append(ri)
+                elif len(p) > 1:
+                    seg_a.append(p[:-1])
+                    seg_b.append(p[1:])
+                    seg_route.append(np.full(len(p) - 1, ri, np.int32))
+        # one supercover over every segment; a segment with a non-finite
+        # endpoint covers nothing (the full-ring fallback still reaches
+        # its route)
+        if seg_a:
+            a, b = np.concatenate(seg_a), np.concatenate(seg_b)
+            seg, ix, iy = supercover((a[:, 0] + 180.0) / dlon, (a[:, 1] + 90.0) / dlat,
+                                     (b[:, 0] + 180.0) / dlon, (b[:, 1] + 90.0) / dlat)
+            cell_all = cells.from_ixy(np.clip(ix, 0, n - 1).astype(np.uint64),
+                                      np.clip(iy, 0, n - 1).astype(np.uint64), res)
+            route_all = np.concatenate(seg_route)[seg]
+        else:
+            cell_all, route_all = np.empty(0, np.uint64), np.empty(0, np.int32)
+        # unique (cell, route) pairs, routes ascending within a cell (cell
+        # ids stay below 2**63, so the int64 view keeps their order)
+        pairs = np.unique(np.column_stack([
+            np.concatenate([cell_all, *pt_cells]).view(np.int64),
+            np.concatenate([route_all, np.asarray(pt_route, np.int32)]),
+        ]), axis=0)
+        self.keys, starts = np.unique(pairs[:, 0].view(np.uint64), return_index=True)
+        self.offsets = np.concatenate([starts, [len(pairs)]]).astype(np.int64)
+        self.routes = pairs[:, 1].astype(np.int32)
         ix, iy = cells.to_ixy(self.keys)
         self.ix_min, self.ix_max = (int(ix.min()), int(ix.max())) if len(ix) else (0, 0)
         self.iy_min, self.iy_max = (int(iy.min()), int(iy.max())) if len(iy) else (0, 0)
