@@ -15,7 +15,8 @@ and latitude clamp.
 
 This plays the role H3's hex index plays in the north_star: a uint64
 key that hash-partitions the spatial join, supports multi-resolution
-coarsening for skew handling, and ring expansion for kNN search.
+coarsening for skew handling, and the nested cell levels of the kNN
+bound descent.
 """
 
 from __future__ import annotations
@@ -61,12 +62,17 @@ def _quantize(lon: np.ndarray, lat: np.ndarray, res: int) -> tuple[np.ndarray, n
     # least/greatest) and matched by polygon_cover_cells, so points and
     # covers agree at the boundary. Antimeridian-SPANNING geometry is
     # outside the engine's local-meter-frame domain either way.
+    # The clamp runs in float space before the cast: truncation equals
+    # floor on [0, n - 1], and NaN (fmin drops it) and ±inf land in an
+    # edge cell instead of casting to an undefined int64 (a RuntimeWarning,
+    # an error under -W error). Stages drop those rows via valid_lonlat.
     n = 1 << res
-    ix = np.floor((np.asarray(lon, dtype=np.float64) + 180.0) / 360.0 * n).astype(np.int64)
-    iy = np.floor((np.asarray(lat, dtype=np.float64) + 90.0) / 180.0 * n).astype(np.int64)
-    np.clip(ix, 0, n - 1, out=ix)
-    np.clip(iy, 0, n - 1, out=iy)
-    return ix, iy
+    qx = (np.asarray(lon, dtype=np.float64) + 180.0) / 360.0 * n
+    qy = (np.asarray(lat, dtype=np.float64) + 90.0) / 180.0 * n
+    for q in (qx, qy):
+        np.fmin(q, n - 1, out=q)
+        np.fmax(q, 0, out=q)
+    return qx.astype(np.int64), qy.astype(np.int64)
 
 
 def encode(lon, lat, res: int) -> np.ndarray:
@@ -177,27 +183,3 @@ def cell_size_degrees(res: int) -> tuple[float, float]:
     """(dlon, dlat) of one cell at ``res``."""
     n = float(1 << res)
     return 360.0 / n, 180.0 / n
-
-
-def k_shell(cell: int | np.ndarray, k: int) -> np.ndarray:
-    """Cells at EXACTLY Chebyshev distance k from ONE cell (the ring
-    boundary — 8k cells before edge dedup; k=0 is the cell itself).
-    Same longitude-wrap / latitude-clamp rules as k_ring, so iterating
-    shells 0..r visits exactly k_ring(cell, r). Single-cell API (unlike
-    the vectorized k_ring)."""
-    cell = np.atleast_1d(np.asarray(cell, dtype=np.uint64))
-    if len(cell) != 1:
-        raise ValueError("k_shell takes ONE cell; use k_ring for vector input")
-    r = int(resolution(cell)[0])
-    n = np.int64(1 << r)
-    ix, iy = to_ixy(cell)
-    ix0, iy0 = np.int64(ix[0]), np.int64(iy[0])
-    if k == 0:
-        return np.unique(cell)
-    side = np.arange(-k, k + 1, dtype=np.int64)
-    inner = np.arange(-(k - 1), k, dtype=np.int64)
-    dx = np.concatenate([side, side, np.full(len(inner), -k), np.full(len(inner), k)])
-    dy = np.concatenate([np.full(len(side), -k), np.full(len(side), k), inner, inner])
-    nx = (ix0 + dx) % n
-    ny = np.clip(iy0 + dy, 0, n - 1)
-    return np.unique(from_ixy(nx.astype(np.uint64), ny.astype(np.uint64), r))

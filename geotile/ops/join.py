@@ -35,7 +35,7 @@ import ray.data as rd
 from geotile.geom import cells
 from geotile.geom.buffer import meter_frame
 from geotile.geom.pip import close_rings, points_in_polygon, points_to_polyline_distance
-from geotile.geom.raster import polygon_cover, supercover
+from geotile.geom.raster import polygon_cover
 from geotile.ops.tiles import footprint_quads, georef_batch, row_lonlat
 
 DEFAULT_JOIN_RES = 18  # ~120m × 76m cells: fine enough that most cover
@@ -102,18 +102,14 @@ class RouteIndex:
         if len(self.cell_keys) == 0 or n == 0:
             return empty, empty
         order = np.argsort(cell)
-        probe = cell[order]
-        new = np.empty(n, bool)
-        new[0] = True
-        np.not_equal(probe[1:], probe[:-1], out=new[1:])
-        distinct = probe[new]
+        distinct, run_sorted = _runs(cell[order])
         j = np.searchsorted(self.cell_keys, distinct)
         np.minimum(j, len(self.cell_keys) - 1, out=j)
         lo = self.cell_offsets[j]
         cnt = self.cell_offsets[1:][j] - lo
         cnt[self.cell_keys[j] != distinct] = 0
         run = np.empty(n, np.int32)
-        run[order] = np.cumsum(new, dtype=np.int32) - 1
+        run[order] = run_sorted
         return _expand(lo.take(run), cnt.take(run))
 
     def candidates(self, cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,6 +118,14 @@ class RouteIndex:
         pairs need no PIP test."""
         pt, pair = self._pairs(np.asarray(cell, dtype=np.uint64))
         return pt, self.cell_polys[pair], self.cell_bnd[pair] == FULL
+
+
+def _runs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted non-empty ``v`` → (distinct values, run index per element)."""
+    new = np.empty(len(v), bool)
+    new[0] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return v[new], np.cumsum(new, dtype=np.int32) - 1
 
 
 def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,179 +383,200 @@ def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
 
 
 # ---------------------------------------------------------------------------
-# kNN: k nearest route geometries per tile (cell-ring expansion at scale,
-# exact vectorized distance here where the polygon side is small)
+# kNN: k nearest route geometries per tile (a bound descent over a cell
+# hierarchy at scale, a cell-pruned scan where the route side is small)
 # ---------------------------------------------------------------------------
 
-KNN_RING_RES = 15      # cover/ring resolution: ~1.7 km lon cells here
-# above this many routes the ring path wins; at or below it the pruned
-# scan does (one in-process KnnStage call, 4-vCPU Xeon VM, disc
-# routes, same outputs: 4 routes × 100k rows pruned 0.38 s vs ring
-# 5.5 s; 256 routes × 20k rows ring 0.70 s vs pruned 4.4 s)
+# above this many routes KnnStage takes the bound descent, at or below
+# it the pruned scan. One in-process KnnStage call, 1-vCPU host, disc
+# routes, same outputs, pruned vs descent: 4 routes × 100k rows 0.30 vs
+# 0.40 s; 16 × 20k 0.30 vs 0.08 s; 40 × 20k 0.56 vs 0.09 s; 256 × 20k
+# 3.7 vs 0.16 s. The crossover is now below 16 routes; 32 is kept.
 KNN_RING_THRESHOLD = 32
+KNN_LEVELS = (11, 13, 15, 17)  # bound-descent cell resolutions, coarse to
+# fine (~15 km down to ~240 m wide here); the points are the last level
+_KNN_MAX_PAIRS = 1 << 16  # (item, entry) pairs per descent chunk: its
+# temporaries stay cache-resident (1024 disc routes × 20k rows, 1-vCPU
+# host: 0.35–0.44 s per call at 64k pairs vs 0.62–0.72 s at 1M–4M)
+_SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps  # relative slack on every
+# prune bound: geometry that meets a bound to within rounding is kept
+_KNN_MX, _KNN_MY = meter_frame(_ANCHOR_LAT)
 
 
-class _KnnRingIndex:
-    """cell → candidate-route CSR over polyline cell covers, for the
-    ring-expansion kNN path. Built once per worker from the broadcast
-    routes; EXACT: ring expansion stops only when every unseen route is
-    provably farther than the current kth distance (an unseen route has
-    all cover cells at Chebyshev ring ≥ r+1, hence euclidean distance
-    ≥ r · min cell dimension)."""
+def _knn_xy(lon, lat):
+    """Metre (x, y) in the kNN frame, equirectangular at the corridor
+    anchor. Route vertices, points and cell centres all convert here;
+    cell half-diagonals use the same scales (``_knn_cells``)."""
+    return (lon - _ANCHOR_LON) * _KNN_MX, (lat - _ANCHOR_LAT) * _KNN_MY
 
-    def __init__(self, routes: dict, route_ids: list[str], res: int,
-                 mx: float, my: float):
-        self.res = res
-        dlon, dlat = cells.cell_size_degrees(res)
-        self.min_dim_m = min(dlon * mx, dlat * my)
-        n = 1 << res
-        seg_route, seg_a, seg_b, pt_cells, pt_route = [], [], [], [], []
-        for ri, rid in enumerate(route_ids):
-            parts = routes[rid] if isinstance(routes[rid], list) else [routes[rid]]
-            for p in parts:
-                p = np.asarray(p, np.float64)
-                if len(p) == 1:
-                    # single-point parts contribute no segments but ARE
-                    # valid nearest-neighbor geometry
-                    # (points_to_polyline_distance handles len==1) —
-                    # cover their point cell so the ring lookup sees them
-                    if np.isfinite(p).all():
-                        pt_cells.append(cells.encode(p[:, 0], p[:, 1], res))
-                        pt_route.append(ri)
-                elif len(p) > 1:
-                    seg_a.append(p[:-1])
-                    seg_b.append(p[1:])
-                    seg_route.append(np.full(len(p) - 1, ri, np.int32))
-        # one supercover over every segment; a segment with a non-finite
-        # endpoint covers nothing (the full-ring fallback still reaches
-        # its route)
-        if seg_a:
-            a, b = np.concatenate(seg_a), np.concatenate(seg_b)
-            seg, ix, iy = supercover((a[:, 0] + 180.0) / dlon, (a[:, 1] + 90.0) / dlat,
-                                     (b[:, 0] + 180.0) / dlon, (b[:, 1] + 90.0) / dlat)
-            cell_all = cells.from_ixy(np.clip(ix, 0, n - 1).astype(np.uint64),
-                                      np.clip(iy, 0, n - 1).astype(np.uint64), res)
-            route_all = np.concatenate(seg_route)[seg]
-        else:
-            cell_all, route_all = np.empty(0, np.uint64), np.empty(0, np.int32)
-        # unique (cell, route) pairs, routes ascending within a cell (cell
-        # ids stay below 2**63, so the int64 view keeps their order)
-        pairs = np.unique(np.column_stack([
-            np.concatenate([cell_all, *pt_cells]).view(np.int64),
-            np.concatenate([route_all, np.asarray(pt_route, np.int32)]),
-        ]), axis=0)
-        self.keys, starts = np.unique(pairs[:, 0].view(np.uint64), return_index=True)
-        self.offsets = np.concatenate([starts, [len(pairs)]]).astype(np.int64)
-        self.routes = pairs[:, 1].astype(np.int32)
-        ix, iy = cells.to_ixy(self.keys)
-        self.ix_min, self.ix_max = (int(ix.min()), int(ix.max())) if len(ix) else (0, 0)
-        self.iy_min, self.iy_max = (int(iy.min()), int(iy.max())) if len(iy) else (0, 0)
 
-    def lookup(self, ring_cells: np.ndarray) -> np.ndarray:
-        """Route indices whose cover intersects any of ``ring_cells``."""
-        if not len(self.keys):
-            return np.empty(0, np.int64)
-        pos = np.searchsorted(self.keys, ring_cells)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        hit = self.keys[pos] == ring_cells
-        if not hit.any():
-            return np.empty(0, np.int64)
-        out = [self.routes[self.offsets[p]:self.offsets[p + 1]] for p in pos[hit]]
-        return np.unique(np.concatenate(out)).astype(np.int64)
+def _knn_cells(cell):
+    """(x, y, r) per cell: metre centre and half-diagonal in the kNN frame."""
+    w, s, e, n = cells.cell_bounds(cell)
+    x, y = _knn_xy((w + e) * 0.5, (s + n) * 0.5)
+    return x, y, np.hypot((e - w) * 0.5 * _KNN_MX, (n - s) * 0.5 * _KNN_MY)
 
-    def r_cover(self, cell: np.uint64) -> int:
-        """Ring radius at which the whole index is inside the ring."""
-        cx, cy = cells.to_ixy(np.array([cell], np.uint64))
-        return int(
-            max(
-                abs(int(cx[0]) - self.ix_min), abs(int(cx[0]) - self.ix_max),
-                abs(int(cy[0]) - self.iy_min), abs(int(cy[0]) - self.iy_max),
-            )
-        )
+
+class _SegTable:
+    """Every route's parts as one flat entry table, route-major: route
+    ``j`` owns entries ``ro[j]:ro[j+1]``, its segments first and its
+    single-point parts from ``rp[j]`` on. An entry starts at (``ax``,
+    ``ay``), runs by (``dx``, ``dy``) and has ``inv`` = 1/L² (0 when
+    degenerate), the ``points_to_polyline_distance`` arithmetic; a point
+    entry (``pt``) has length 0 and its distance is ``hypot``.
+    ``bad[j]``: route ``j`` has a non-finite vertex or none at all, so the
+    bound descent leaves it to ``_route_dist``."""
+
+    def __init__(self, lines: list[list[np.ndarray]]):
+        starts, ends, ro, rp, bad = [], [], [0], [], []
+        for parts in lines:
+            segs = [p for p in parts if len(p) > 1]
+            pts = [p for p in parts if len(p) == 1]
+            starts += [p[:-1] for p in segs] + pts
+            ends += [p[1:] for p in segs] + pts  # a point's end is unused
+            rp.append(ro[-1] + sum(len(p) - 1 for p in segs))
+            ro.append(rp[-1] + len(pts))
+            bad.append(ro[-1] == ro[-2] or not all(np.isfinite(p).all() for p in parts))
+        a = np.concatenate(starts) if starts else np.empty((0, 2))
+        b = np.concatenate(ends) if ends else np.empty((0, 2))
+        self.ro, self.rp = np.asarray(ro), np.asarray(rp, np.int64)
+        self.bad = np.asarray(bad, bool)
+        self.route = np.repeat(np.arange(len(lines), dtype=np.int32), np.diff(self.ro))
+        self.pt = np.arange(len(self.route)) >= self.rp[self.route]
+        self.ax, self.ay = np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(a[:, 1])
+        self.dx = np.subtract(b[:, 0], self.ax, out=np.zeros_like(self.ax), where=~self.pt)
+        self.dy = np.subtract(b[:, 1], self.ay, out=np.zeros_like(self.ay), where=~self.pt)
+        L2 = self.dx * self.dx + self.dy * self.dy
+        self.inv = np.zeros_like(L2)
+        np.divide(1.0, L2, out=self.inv, where=L2 > np.finfo(np.float64).tiny)
+
+
+def _group_topk(v: np.ndarray, starts: np.ndarray, k: int) -> np.ndarray:
+    """(groups, k) positions of the k smallest values of each group,
+    ascending, equal values by lowest position; group ``g`` is
+    ``v[starts[g]:starts[g + 1]]`` and holds at least k values. k passes
+    of ``reduceat``, no loop over groups."""
+    v = v.copy()
+    size = np.diff(starts, append=len(v))
+    gid = np.repeat(np.arange(len(starts)), size)
+    out = np.empty((len(starts), k), np.intp)
+    for i in range(k):
+        hit = np.flatnonzero(v == np.repeat(np.minimum.reduceat(v, starts), size))
+        out[:, i] = hit[np.diff(gid[hit], prepend=-1) != 0]  # first hit per group
+        v[out[:, i]] = np.inf
+    return out
+
+
+def _descend_chunk(T: _SegTable, seg, start, cnt, x, y, r, k):
+    """``_descend`` over items whose parents' candidates are
+    ``seg[start[i]:start[i] + cnt[i]]``."""
+    owner, pos = _expand(start, cnt)
+    s = seg.take(pos)
+    x, y = np.repeat(x, cnt), np.repeat(y, cnt)
+    d = KnnStage._seg_dist2(x, y, T.ax.take(s), T.ay.take(s), T.dx.take(s),
+                            T.dy.take(s), T.inv.take(s))
+    np.sqrt(d, out=d)
+    rt = T.route.take(s)
+    new = np.empty(len(s), bool)
+    new[0] = True
+    np.not_equal(rt[1:], rt[:-1], out=new[1:])
+    new[1:] |= owner[1:] != owner[:-1]
+    gs = np.flatnonzero(new)  # (item, route) groups, routes ascending per item
+    go = owner[gs]
+    first = np.flatnonzero(np.diff(go, prepend=-1))  # each item's first group
+    if r is None:
+        pt = np.flatnonzero(T.pt.take(s))
+        d[pt] = np.hypot(x[pt] - T.ax[s[pt]], y[pt] - T.ay[s[pt]])
+        lo = np.minimum.reduceat(d, gs)
+        sel = _group_topk(lo, first, k)
+        return rt[gs][sel], lo[sel]
+    lo = np.minimum.reduceat(d, gs)
+    rg = r[go]
+    ub = lo + rg
+    kth = ub[_group_topk(ub, first, k)[:, -1]]
+    thr = np.where(lo - rg <= kth[go] * _SLACK, (lo + 2.0 * rg) * _SLACK, -np.inf)
+    keep = d <= np.repeat(thr, np.diff(gs, append=len(s)))
+    return s[keep], np.bincount(owner[keep], minlength=len(cnt))
+
+
+def _descend(T: _SegTable, seg, off, par, x, y, r, k):
+    """One level of the bound descent. Item ``i`` (a cell with metre
+    centre (x, y) and half-diagonal ``r``, or a point when ``r`` is None)
+    lies in item ``par[i]`` of the level above, whose candidate entries
+    are ``seg[off[p]:off[p + 1]]``, sorted by route.
+
+    For a point ``p`` in cell ``i`` and a route with candidate entries
+    ``e``, ``|d(p, e) − d(c, e)| ≤ r``, so the route's distance lies in
+    ``lo ± r`` (``lo``: its least centre distance). A cell keeps a route
+    whose ``lo − r`` is at most the k-th smallest ``lo + r`` (any other
+    route has k routes strictly nearer every point of the cell), and of
+    it the entries with ``d(c, e) ≤ lo + 2r``: only these can be a
+    point's minimum. Returns the cells' own
+    (entries, count per cell); at the point level, (route, distance), each
+    (n, k), by lowest distance and then lowest route. Items are processed
+    in chunks of about ``_KNN_MAX_PAIRS`` (item, entry) pairs."""
+    cnt = off[1:][par] - off[par]
+    begin = np.cumsum(cnt) - cnt
+    cut = list(np.flatnonzero(np.diff(begin // _KNN_MAX_PAIRS)) + 1)
+    out = [
+        _descend_chunk(T, seg, off[par[a:b]], cnt[a:b], x[a:b], y[a:b],
+                       None if r is None else r[a:b], k)
+        for a, b in zip([0] + cut, cut + [len(par)])
+    ]
+    return tuple(np.concatenate(z) for z in zip(*out))
 
 
 class KnnStage:
     """Per tile, the k nearest route polylines by point-to-segment
-    distance in a corridor-local meter frame; the route side is
-    broadcast. Rows with invalid lon/lat (``cells.valid_lonlat``) get
-    no neighbours. Two paths with identical output, chosen by route
-    count:
+    distance in a corridor-local meter frame (``_knn_xy``); the route
+    side is broadcast. Rows with invalid lon/lat (``cells.valid_lonlat``)
+    get no neighbours. Ties at rank k go to the lowest route index. Two
+    paths with identical output (bit-equal to a brute-force distance to
+    every route), chosen by route count:
 
     - cell-pruned exact scan (≤ ``KNN_RING_THRESHOLD`` routes):
       distance to EVERY route, skipping only segments that provably
       cannot be a point's minimum — fastest when the route side is
       dimension-scale.
-    - cell-ring expansion (> ``KNN_RING_THRESHOLD`` routes): tiles grouped by
-      cell; rings around each cell expand over a polyline-cover CSR
-      until ≥ k candidates are found AND the ring lower bound
-      (r · min cell dim) exceeds the worst kth candidate distance —
-      per-tile distance work is then candidates, not all routes."""
+    - bound descent (> ``KNN_RING_THRESHOLD`` routes, ``ring`` holds its
+      segment table): the batch's cells at each of ``KNN_LEVELS``, coarse
+      to fine, all at once; each cell keeps the routes and segments its
+      centre bounds cannot rule out (``_descend``), and only the points
+      themselves take exact distances, to the entries their finest cell
+      kept. No loop over cells or routes, and a row far from every route
+      costs no more than one near them."""
 
     def __init__(self, routes_ref, k: int = 3):
         routes: dict[str, list[np.ndarray] | np.ndarray] = _get_broadcast(routes_ref)
         self.k = k
-        mx, my = meter_frame(_ANCHOR_LAT)
         self.route_ids = sorted(routes)
-        self.ring = (
-            _KnnRingIndex(routes, self.route_ids, KNN_RING_RES, mx, my)
-            if len(self.route_ids) > KNN_RING_THRESHOLD
-            else None
-        )
         # each route is a LIST of parts; min distance is taken over parts
         # (a single array is accepted for back-compat)
         self.lines = [
-            [
-                np.column_stack(
-                    [(p[:, 0] - _ANCHOR_LON) * mx, (p[:, 1] - _ANCHOR_LAT) * my]
-                )
-                for p in (routes[r] if isinstance(routes[r], list) else [routes[r]])
-            ]
+            [np.column_stack(_knn_xy(p[:, 0], p[:, 1]))
+             for p in (routes[r] if isinstance(routes[r], list) else [routes[r]])]
             for r in self.route_ids
         ]
-        self.mx, self.my = mx, my
-        self.seg = None  # lazy pooled-segment index for the pruned scan
+        self.seg = None  # lazy _SegTable
+        self.ring = self._seg_table() if len(self.route_ids) > KNN_RING_THRESHOLD else None
+
+    def _seg_table(self) -> _SegTable:
+        if self.seg is None:
+            self.seg = _SegTable(self.lines)
+        return self.seg
 
     def _route_dist(self, j: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return np.minimum.reduce(
             [points_to_polyline_distance(px, py, part) for part in self.lines[j]]
         )
 
-    def _build_seg_pool(self):
-        """Per-route pooled segment arrays (ax, ay, dx, dy, inv_L2) +
-        single-point parts, for the cell-pruned exact scan.  Pooling
-        parts changes no per-segment arithmetic, and sqrt is monotone,
-        so min over the pool equals the per-part minimum reduce
-        bit-for-bit; single-point parts stay on the hypot path."""
-        tiny = np.finfo(np.float64).tiny
-        pool = []
-        for parts in self.lines:
-            axs, ays, dxs, dys, invs, pts = [], [], [], [], [], []
-            for part in parts:
-                if len(part) == 1:
-                    pts.append(part[0])
-                    continue
-                ax, ay = part[:-1, 0], part[:-1, 1]
-                dx, dy = part[1:, 0] - ax, part[1:, 1] - ay
-                L2 = dx * dx + dy * dy
-                finite = L2 > tiny
-                inv = np.zeros_like(L2)
-                np.divide(1.0, L2, out=inv, where=finite)
-                axs.append(ax); ays.append(ay)
-                dxs.append(dx); dys.append(dy); invs.append(inv)
-            cat = (lambda xs: np.concatenate(xs) if xs
-                   else np.empty(0, np.float64))
-            pool.append((cat(axs), cat(ays), cat(dxs), cat(dys),
-                         cat(invs),
-                         np.asarray(pts, np.float64) if pts
-                         else np.empty((0, 2), np.float64)))
-        return pool
-
     @staticmethod
     def _seg_dist2(px, py, ax, ay, dx, dy, inv):
-        """Squared point→segment distances, (n_points, n_segs) —
-        exactly the points_to_polyline_distance inner arithmetic."""
-        rx = px[:, None] - ax
-        ry = py[:, None] - ay
+        """Squared point→segment distances, broadcast (``px[:, None]``
+        against segment rows gives (points, segments)) — exactly the
+        points_to_polyline_distance inner arithmetic."""
+        rx = px - ax
+        ry = py - ay
         t = (rx * dx + ry * dy) * inv
         np.clip(t, 0.0, 1.0, out=t)
         rx -= t * dx
@@ -576,7 +601,7 @@ class KnnStage:
         out = np.full(len(px), np.inf)
         step = max(1, chunk // max(1, len(ax)))
         for s in range(0, len(px), step):
-            d2 = self._seg_dist2(px[s:s + step], py[s:s + step],
+            d2 = self._seg_dist2(px[s:s + step, None], py[s:s + step, None],
                                  ax, ay, dx, dy, invl)
             out[s:s + step] = d2.min(axis=1)
         return np.sqrt(out)
@@ -590,10 +615,9 @@ class KnnStage:
         d(c,s) > best(c) + 2r are provably out), and only the
         surviving segments get the exact chunked points×segments pass.
         The per-segment arithmetic and the route min are bit-identical
-        to the unpruned scan (the threshold carries a relative slack of
-        8 ulps, which dominates the rounding in ``dc``, so at-bound
-        geometry can't flip) — measured ~3× on the corridor workload
-        where most of a route's polyline is far from any given cell.
+        to the unpruned scan (the threshold carries ``_SLACK``) —
+        measured ~3× on the corridor workload where most of a route's
+        polyline is far from any given cell.
 
         Points must have valid lon/lat (``__call__`` drops the rest):
         ``cells.encode`` CLIPS an out-of-range point into a boundary
@@ -601,27 +625,22 @@ class KnnStage:
         NaN route geometry (dc.min() NaN → empty keep) falls back per
         (cell, route) to the unpruned ``_route_dist`` and its NaN
         propagation instead of crashing on an empty reduction."""
-        if self.seg is None:
-            self.seg = self._build_seg_pool()
+        T = self._seg_table()
         n_routes = len(self.route_ids)
         D = np.empty((len(px), n_routes), np.float64)
         c = cells.encode(lon, lat, self._PRUNE_RES)
         uc, inv_c = np.unique(c, return_inverse=True)
-        w, s_, e_, n_b = cells.cell_bounds(uc)
-        ccx = ((w + e_) * 0.5 - _ANCHOR_LON) * self.mx
-        ccy = ((s_ + n_b) * 0.5 - _ANCHOR_LAT) * self.my
-        rcell = np.hypot((e_ - w) * 0.5 * self.mx,
-                         (n_b - s_) * 0.5 * self.my)
-        slack = 1.0 + 8.0 * np.finfo(np.float64).eps
+        ccx, ccy, rcell = _knn_cells(uc)
         for ui in range(len(uc)):
             idx = np.flatnonzero(inv_c == ui)
             mpx, mpy = px[idx], py[idx]
             block = np.empty((len(idx), n_routes), np.float64)
             for j in range(n_routes):
-                ax, ay, dx, dy, invl, pts = self.seg[j]
-                if len(ax):
-                    d2c = self._seg_dist2(ccx[ui:ui + 1], ccy[ui:ui + 1],
-                                          ax, ay, dx, dy, invl)[0]
+                a, p, b = T.ro[j], T.rp[j], T.ro[j + 1]
+                if p > a:
+                    ax, ay, dx, dy, invl = (T.ax[a:p], T.ay[a:p], T.dx[a:p],
+                                            T.dy[a:p], T.inv[a:p])
+                    d2c = self._seg_dist2(ccx[ui], ccy[ui], ax, ay, dx, dy, invl)
                     dc = np.sqrt(d2c)
                     lo = dc.min()
                     if np.isnan(lo):
@@ -630,14 +649,14 @@ class KnnStage:
                         dj = self._route_dist(j, mpx, mpy)
                         block[:, j] = dj
                         continue
-                    keep = dc <= (lo + 2.0 * rcell[ui]) * slack
+                    keep = dc <= (lo + 2.0 * rcell[ui]) * _SLACK
                     dj = self._seg_min_dist(mpx, mpy, ax[keep], ay[keep],
                                             dx[keep], dy[keep],
                                             invl[keep])
                 else:
                     dj = np.full(len(mpx), np.inf)
-                for p in pts:  # single-point parts: hypot path as before
-                    dj = np.minimum(dj, np.hypot(mpx - p[0], mpy - p[1]))
+                for q in range(p, b):  # single-point parts: hypot path as before
+                    dj = np.minimum(dj, np.hypot(mpx - T.ax[q], mpy - T.ay[q]))
                 block[:, j] = dj
             D[idx] = block
         return self._select_topk(D, k)
@@ -645,57 +664,48 @@ class KnnStage:
     @staticmethod
     def _select_topk(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         # STABLE argsort, not argpartition: among EQUAL distances
-        # straddling rank k argpartition picks arbitrarily, so the
-        # pruned-scan and ring paths could report different tied routes.
-        # Stable sort ties break by CANDIDATE COLUMN ORDER — global
-        # route index in both call paths (the pruned scan passes all
-        # routes in id order; the ring path passes `cand` ascending) —
-        # so both paths agree on ties. Route counts are dim-scale
-        # (hundreds), so the log-factor over argpartition is noise.
+        # straddling rank k argpartition picks arbitrarily. Stable sort
+        # ties break by column order, the global route index, as the
+        # bound descent's ``_group_topk`` does. Route counts are
+        # dim-scale, so the log-factor over argpartition is noise.
         order = np.argsort(D, axis=1, kind="stable")[:, :k]
         return order, np.take_along_axis(D, order, axis=1)
 
-    def _ring_topk(self, lon, lat, px, py, k):
-        """Cell-ring expansion: candidates per unique tile cell."""
-        idxr = self.ring
-        c = cells.encode(lon, lat, idxr.res)
-        uc, inv = np.unique(c, return_inverse=True)
+    def _descent_topk(self, lon, lat, px, py, k):
+        """Bound descent (``_descend``) over ``KNN_LEVELS``, then the
+        points. Routes the descent leaves out (``_SegTable.bad``) get
+        ``_route_dist`` to every point and merge by (distance, route)."""
+        T = self.ring
         n = len(px)
-        top = np.empty((n, k), np.int64)
-        topd = np.empty((n, k), np.float64)
-        n_routes = len(self.route_ids)
-        for ui, cell in enumerate(uc):
-            m = inv == ui
-            mpx, mpy = px[m], py[m]
-            computed: dict[int, np.ndarray] = {}
-            cand = np.empty(0, np.int64)
-            r_cov = idxr.r_cover(cell)
-            r = 0
-            while True:
-                full = r >= r_cov or len(cand) == n_routes
-                if full:
-                    cand = np.arange(n_routes, dtype=np.int64)
-                else:
-                    # only the NEW shell (8r boundary cells): previous
-                    # radii were already looked up, so total work over
-                    # r rings is O(r²), not O(r³)
-                    cand = np.union1d(cand, idxr.lookup(cells.k_shell(cell, r)))
-                if len(cand) >= k or full:
-                    for j in cand:
-                        if j not in computed:
-                            computed[int(j)] = self._route_dist(int(j), mpx, mpy)
-                    D = np.stack([computed[int(j)] for j in cand], axis=1)
-                    kth = np.partition(D, k - 1, axis=1)[:, k - 1]
-                    # unseen routes are ≥ r·min_dim away from every tile;
-                    # STRICT <: at equality an unseen route could tie the
-                    # kth candidate and the pruned scan's stable tie-break
-                    # might prefer it
-                    if full or kth.max() < r * idxr.min_dim_m:
-                        break
-                r += 1
-            ti, td = self._select_topk(D, k)
-            top[m] = cand[ti]  # cand ascending keeps pruned-scan tie order
-            topd[m] = td
+        kf = min(k, int((~T.bad).sum()))
+        top, topd = np.empty((n, 0), np.int64), np.empty((n, 0))
+        if n and kf:
+            c = cells.encode(lon, lat, KNN_LEVELS[-1])
+            order = np.argsort(c)
+            # distinct cells per level, fine to coarse: Morton order
+            # nests, so each level's cells are runs of the finer ones
+            units, pars, u = [], [], c[order]
+            for res in reversed(KNN_LEVELS):
+                u, p = _runs(cells.parent(u, res))
+                units.append(u)
+                pars.append(p)
+            seg = np.flatnonzero(~T.bad[T.route])
+            off = np.array([0, len(seg)])
+            par = np.zeros(len(units[-1]), np.int32)
+            for u, p in zip(units[::-1], pars[::-1]):
+                seg, cnt = _descend(T, seg, off, par, *_knn_cells(u), kf)
+                off = np.concatenate([[0], np.cumsum(cnt)])
+                par = p
+            t, d = _descend(T, seg, off, par, px[order], py[order], None, kf)
+            top, topd = np.empty_like(t, np.int64), np.empty_like(d)
+            top[order], topd[order] = t, d
+        bad = np.flatnonzero(T.bad)
+        if len(bad):
+            cand = np.concatenate([top, np.broadcast_to(bad, (n, len(bad)))], axis=1)
+            dist = np.concatenate(
+                [topd, np.stack([self._route_dist(j, px, py) for j in bad], axis=1)], axis=1)
+            o = np.lexsort((cand, dist))[:, :k]
+            top, topd = np.take_along_axis(cand, o, 1), np.take_along_axis(dist, o, 1)
         return top, topd
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -704,8 +714,7 @@ class KnnStage:
         valid = cells.valid_lonlat(lon, lat)
         if not valid.all():
             lon, lat, ids = lon[valid], lat[valid], ids.filter(pa.array(valid))
-        px = (lon - _ANCHOR_LON) * self.mx
-        py = (lat - _ANCHOR_LAT) * self.my
+        px, py = _knn_xy(lon, lat)
         n = len(px)
         k = min(self.k, len(self.route_ids))
         if k == 0:
@@ -716,7 +725,7 @@ class KnnStage:
                 "route_id": pa.array([], pa.string()),
                 "dist_m": pa.array([], pa.float64())})
         if self.ring is not None:
-            top, topd = self._ring_topk(lon, lat, px, py, k)
+            top, topd = self._descent_topk(lon, lat, px, py, k)
         else:
             top, topd = self._exact_scan_pruned(lon, lat, px, py, k)
         ids = pc.take(

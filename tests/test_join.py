@@ -605,6 +605,132 @@ class TestKnnRingPath:
         assert np.array_equal(d[f], want_d.ravel()[f])
         assert (got["route_id"].to_numpy()[f] == want_ids.ravel()[f]).all()
 
+    def test_far_rows_match_brute_force(self):
+        """Valid rows half a world from every route finish and get the
+        brute-force answer (the per-cell ring walk used to expand ring
+        shells out to them one at a time)."""
+        from geotile.ops.join import KnnStage
+
+        routes = _disc_routes(40)
+        clon, clat = tile_centers(np.arange(20).astype(np.uint64))
+        lon = np.concatenate([[179.5], clon, [-179.5]])
+        lat = np.concatenate([[0.5], clat, [-89.5]])
+        got, want_ids, want_d = _knn_vs_brute(KnnStage(routes, k=3), routes, lon, lat, 3)
+        assert got["route_id"].tolist() == want_ids.ravel().tolist()
+        assert (got["dist_m"].to_numpy() == want_d.ravel()).all()
+
+
+def _lonlat_batch(lon, lat):
+    import pyarrow as pa
+
+    return pa.table({"image_id": [f"img-{i:08d}" for i in range(len(lon))],
+                     "caption": ["c"] * len(lon),
+                     "lon": pa.array(lon, pa.float64()), "lat": pa.array(lat, pa.float64())})
+
+
+def _knn_vs_brute(stage, routes, lon, lat, k):
+    """(stage output as pandas, brute-force ids, brute-force dist_m) for
+    rows at ``lon``/``lat``; asserts the stage took the bound descent
+    and emitted k rows per row in row order."""
+    assert stage.ring is not None
+    got = stage(_lonlat_batch(lon, lat)).to_pandas()
+    want_ids, want_d = _knn_brute_force(routes, np.asarray(lon), np.asarray(lat), k)
+    assert got["image_id"].tolist() == [f"img-{i:08d}" for i in range(len(lon)) for _ in range(k)]
+    assert (got["rank"].to_numpy() == np.tile(np.arange(k), len(lon))).all()
+    return got, want_ids, want_d
+
+
+class TestKnnDescent:
+    """Edge cases of the bound descent (> KNN_RING_THRESHOLD routes):
+    every output is bit-equal to ``_knn_brute_force``, whose stable sort
+    breaks equal distances by the lowest route index."""
+
+    def _check(self, routes, lon, lat, k=3):
+        from geotile.ops.join import KnnStage
+
+        got, want_ids, want_d = _knn_vs_brute(KnnStage(routes, k=k), routes, lon, lat, k)
+        assert got["route_id"].tolist() == want_ids.ravel().tolist()
+        d = got["dist_m"].to_numpy()
+        assert np.array_equal(d, want_d.ravel(), equal_nan=True)
+        return got
+
+    def test_mirrored_routes_tie_at_rank_k(self):
+        """Rows on the anchor parallel, between two pairs of routes
+        mirrored about it: each pair ties exactly (ranks 1-2 and 3-4), so
+        rank k=3 must go to the lower route index. Two identical routes
+        through some of the rows tie at distance 0."""
+        from geotile.ops.join import _ANCHOR_LAT
+
+        d = 2.0 ** -10  # exact in degrees: both mirrored offsets round alike
+        line = np.linspace(-100.2, -99.8, 9)
+
+        def parallel(dlat):
+            return [np.column_stack([line, np.full(9, _ANCHOR_LAT + dlat)])]
+
+        routes = _disc_routes(40)
+        # ids sort the upper route first in one pair, last in the other
+        routes.update({"M1": parallel(d / 2), "M0": parallel(-d / 2),
+                       "N0": parallel(d), "N1": parallel(-d)})
+        dup = np.column_stack([np.linspace(-90.0, -89.9, 5), np.full(5, 20.0)])
+        routes.update({"D0": [dup], "D1": [dup.copy()]})
+        lon = np.concatenate([np.linspace(-100.15, -99.85, 25), dup[:, 0]])
+        lat = np.concatenate([np.full(25, _ANCHOR_LAT), dup[:, 1]])
+        got = self._check(routes, lon, lat, k=3)
+        ranks = got["route_id"].to_numpy().reshape(-1, 3)
+        assert (ranks[:25] == ["M0", "M1", "N0"]).all()
+        assert (ranks[25:, :2] == ["D0", "D1"]).all()
+        assert (got["dist_m"].to_numpy().reshape(-1, 3)[25:, :2] == 0.0).all()
+
+    def test_single_point_parts(self):
+        """Single-point parts take the hypot distance: routes made of one
+        point, and points added to polyline routes, one on a row."""
+        routes = _disc_routes(40)
+        clon, clat = tile_centers(np.arange(200).astype(np.uint64))
+        routes["P0"] = [np.array([[clon[7], clat[7]]])]
+        routes["P1"] = [np.array([[clon[50] + 0.001, clat[50]]]),
+                        np.array([[clon[90], clat[90] - 0.002]])]
+        routes["R003"] = routes["R003"] + [np.array([[clon[120], clat[120] + 0.0005]])]
+        self._check(routes, clon, clat)
+
+    def test_k_above_finite_route_count(self):
+        """37 of 40 routes have a non-finite vertex. NaN ones fill the
+        last ranks in route order; one whose only non-finite part is an
+        infinite single point keeps its finite distance."""
+        routes = _disc_routes(40)
+        for rid in sorted(routes)[:37]:
+            bad = routes[rid][0].copy()
+            bad[2] = np.nan
+            routes[rid] = [bad]
+        rid = sorted(routes)[10]
+        routes[rid] = [_disc_routes(40)[rid][0], np.array([[np.inf, 37.5]])]
+        clon, clat = tile_centers(np.arange(100).astype(np.uint64))
+        got = self._check(routes, clon, clat, k=5)
+        d = got["dist_m"].to_numpy().reshape(-1, 5)
+        assert np.isfinite(d[:, :4]).all() and np.isnan(d[:, 4]).all()
+
+    def test_rows_in_one_finest_cell(self):
+        """Every row in one res-17 cell (the finest descent level)."""
+        from geotile.geom import cells
+        from geotile.ops.join import KNN_LEVELS
+
+        clon, clat = tile_centers(np.arange(1).astype(np.uint64))
+        w, s, e, n = (float(v[0]) for v in cells.cell_bounds(
+            cells.encode(clon, clat, KNN_LEVELS[-1])))
+        rng = np.random.default_rng(5)
+        lon = np.append(rng.uniform(w, e - 1e-9, 300), w)  # and the corner
+        lat = np.append(rng.uniform(s, n - 1e-9, 300), s)
+        assert len(np.unique(cells.encode(lon, lat, KNN_LEVELS[-1]))) == 1
+        self._check(_disc_routes(40), lon, lat)
+
+    def test_no_valid_rows(self):
+        from geotile.ops.join import KnnStage
+
+        lon = np.array([np.nan, 500.0, -np.inf])
+        lat = np.array([0.0, 0.0, 0.0])
+        got = KnnStage(_disc_routes(40), k=3)(_lonlat_batch(lon, lat))
+        assert got.num_rows == 0
+        assert got.column_names == ["image_id", "rank", "route_id", "dist_m"]
+
 
 class TestStreamedDissolve:
     def test_streamed_rings_match_mask_trace(self, ray_session, image_table_dir):
@@ -681,6 +807,26 @@ class TestInvalidCoordinates:
         expect = np.unique(cells.encode(lon, lat, 12)).view(np.int64)
         assert sorted(df.cell.tolist()) == sorted(expect.tolist())
         assert df.n_tiles.tolist() == [1, 1]
+
+    def test_invalid_rows_raise_no_warning(self):
+        """NaN and ±inf lon/lat encode to a defined edge cell without a
+        cast RuntimeWarning, so the join drops them under -W error too."""
+        import warnings
+
+        from geotile.geom import cells
+        from geotile.ops.join import SpatialJoinStage
+
+        box = np.array([[179.0, 0.0], [180.0, 0.0], [180.0, 1.0], [179.0, 1.0], [179.0, 0.0]])
+        index = build_route_index({"box": [(box, [])]}, res=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cells.encode(np.array([np.nan, np.inf, -np.inf, 1.0]),
+                               np.array([np.nan, -np.inf, 1.0, np.inf]), 18)
+            out = SpatialJoinStage(index)(self._batch())
+        want = cells.encode(np.array([180.0, 180.0, -180.0, 1.0]),
+                            np.array([90.0, -90.0, 1.0, 90.0]), 18)
+        assert np.array_equal(got, want)
+        assert out["image_id"].to_pylist() == ["img-00000000"]
 
     @pytest.mark.parametrize("n_routes", [4, 40])
     def test_knn_drops_invalid_rows(self, n_routes):
