@@ -384,20 +384,15 @@ def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
 
 # ---------------------------------------------------------------------------
 # kNN: k nearest route geometries per tile (a bound descent over a cell
-# hierarchy at scale, a cell-pruned scan where the route side is small)
+# hierarchy: only the finest level touches the points)
 # ---------------------------------------------------------------------------
 
-# above this many routes KnnStage takes the bound descent, at or below
-# it the pruned scan. One in-process KnnStage call, 1-vCPU host, disc
-# routes, same outputs, pruned vs descent: 4 routes × 100k rows 0.30 vs
-# 0.40 s; 16 × 20k 0.30 vs 0.08 s; 40 × 20k 0.56 vs 0.09 s; 256 × 20k
-# 3.7 vs 0.16 s. The crossover is now below 16 routes; 32 is kept.
-KNN_RING_THRESHOLD = 32
 KNN_LEVELS = (11, 13, 15, 17)  # bound-descent cell resolutions, coarse to
 # fine (~15 km down to ~240 m wide here); the points are the last level
 _KNN_MAX_PAIRS = 1 << 16  # (item, entry) pairs per descent chunk: its
-# temporaries stay cache-resident (1024 disc routes × 20k rows, 1-vCPU
-# host: 0.35–0.44 s per call at 64k pairs vs 0.62–0.72 s at 1M–4M)
+# temporaries stay cache-resident. One KnnStage call, 1-vCPU host, 64k vs
+# 4M pairs: 4 disc routes × 100k rows 0.25 vs 0.53 s, 1024 × 20k 0.31 vs
+# 0.82 s; a 30k-row route_rollup block 0.03–0.04 s either way
 _SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps  # relative slack on every
 # prune bound: geometry that meets a bound to within rounding is kept
 _KNN_MX, _KNN_MY = meter_frame(_ANCHOR_LAT)
@@ -530,21 +525,16 @@ class KnnStage:
     """Per tile, the k nearest route polylines by point-to-segment
     distance in a corridor-local meter frame (``_knn_xy``); the route
     side is broadcast. Rows with invalid lon/lat (``cells.valid_lonlat``)
-    get no neighbours. Ties at rank k go to the lowest route index. Two
-    paths with identical output (bit-equal to a brute-force distance to
-    every route), chosen by route count:
+    get no neighbours. Ties at rank k go to the lowest route index, and
+    the output is bit-equal to a brute-force distance to every route.
 
-    - cell-pruned exact scan (≤ ``KNN_RING_THRESHOLD`` routes):
-      distance to EVERY route, skipping only segments that provably
-      cannot be a point's minimum — fastest when the route side is
-      dimension-scale.
-    - bound descent (> ``KNN_RING_THRESHOLD`` routes, ``ring`` holds its
-      segment table): the batch's cells at each of ``KNN_LEVELS``, coarse
-      to fine, all at once; each cell keeps the routes and segments its
-      centre bounds cannot rule out (``_descend``), and only the points
-      themselves take exact distances, to the entries their finest cell
-      kept. No loop over cells or routes, and a row far from every route
-      costs no more than one near them."""
+    One path, a bound descent (``_descent_topk``): the batch's cells at
+    each of ``KNN_LEVELS``, coarse to fine, all at once; each cell keeps
+    the routes and segments its centre bounds cannot rule out
+    (``_descend``), and only the points themselves take exact distances,
+    to the entries their finest cell kept. No loop over cells or routes,
+    and a row far from every route costs no more than one near them.
+    ``ring`` holds the route side's flat segment table (``_SegTable``)."""
 
     def __init__(self, routes_ref, k: int = 3):
         routes: dict[str, list[np.ndarray] | np.ndarray] = _get_broadcast(routes_ref)
@@ -557,13 +547,7 @@ class KnnStage:
              for p in (routes[r] if isinstance(routes[r], list) else [routes[r]])]
             for r in self.route_ids
         ]
-        self.seg = None  # lazy _SegTable
-        self.ring = self._seg_table() if len(self.route_ids) > KNN_RING_THRESHOLD else None
-
-    def _seg_table(self) -> _SegTable:
-        if self.seg is None:
-            self.seg = _SegTable(self.lines)
-        return self.seg
+        self.ring = _SegTable(self.lines)
 
     def _route_dist(self, j: int, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         return np.minimum.reduce(
@@ -585,91 +569,6 @@ class KnnStage:
         ry *= ry
         rx += ry
         return rx
-
-    _PRUNE_RES = 13  # ~5×2.4 km cells: coarse enough that the
-    # per-cell Python iteration stays ~tens of cells (finer res paid
-    # more loop overhead than the extra pruning saved — measured
-    # 0.13 s at res 13 vs 0.85 s at res 16 vs 0.43 s unpruned on a
-    # 131k-point batch)
-
-    def _seg_min_dist(self, px, py, ax, ay, dx, dy, invl,
-                      chunk: int = 1 << 17):
-        """sqrt(min over segments) with the SAME point-chunking
-        discipline as points_to_polyline_distance: the (points ×
-        segments) temporaries stay L2-resident instead of growing
-        unbounded when many points share one cell (review fix)."""
-        out = np.full(len(px), np.inf)
-        step = max(1, chunk // max(1, len(ax)))
-        for s in range(0, len(px), step):
-            d2 = self._seg_dist2(px[s:s + step, None], py[s:s + step, None],
-                                 ax, ay, dx, dy, invl)
-            out[s:s + step] = d2.min(axis=1)
-        return np.sqrt(out)
-
-    def _exact_scan_pruned(self, lon, lat, px, py, k):
-        """Exact all-routes distance matrix with per-cell segment
-        pruning: points group by cell; per (cell, route) ONE center
-        pass bounds which segments can be any cell point's minimum
-        (triangle inequality — d(p,s) ≥ d(c,s) − r and best(p) ≤
-        best(c) + r for the cell's half-diagonal r, so segments with
-        d(c,s) > best(c) + 2r are provably out), and only the
-        surviving segments get the exact chunked points×segments pass.
-        The per-segment arithmetic and the route min are bit-identical
-        to the unpruned scan (the threshold carries ``_SLACK``) —
-        measured ~3× on the corridor workload where most of a route's
-        polyline is far from any given cell.
-
-        Points must have valid lon/lat (``__call__`` drops the rest):
-        ``cells.encode`` CLIPS an out-of-range point into a boundary
-        cell it is not inside, breaking the containment assumption.
-        NaN route geometry (dc.min() NaN → empty keep) falls back per
-        (cell, route) to the unpruned ``_route_dist`` and its NaN
-        propagation instead of crashing on an empty reduction."""
-        T = self._seg_table()
-        n_routes = len(self.route_ids)
-        D = np.empty((len(px), n_routes), np.float64)
-        c = cells.encode(lon, lat, self._PRUNE_RES)
-        uc, inv_c = np.unique(c, return_inverse=True)
-        ccx, ccy, rcell = _knn_cells(uc)
-        for ui in range(len(uc)):
-            idx = np.flatnonzero(inv_c == ui)
-            mpx, mpy = px[idx], py[idx]
-            block = np.empty((len(idx), n_routes), np.float64)
-            for j in range(n_routes):
-                a, p, b = T.ro[j], T.rp[j], T.ro[j + 1]
-                if p > a:
-                    ax, ay, dx, dy, invl = (T.ax[a:p], T.ay[a:p], T.dx[a:p],
-                                            T.dy[a:p], T.inv[a:p])
-                    d2c = self._seg_dist2(ccx[ui], ccy[ui], ax, ay, dx, dy, invl)
-                    dc = np.sqrt(d2c)
-                    lo = dc.min()
-                    if np.isnan(lo):
-                        # NaN geometry: keep _route_dist's NaN
-                        # propagation rather than prune everything
-                        dj = self._route_dist(j, mpx, mpy)
-                        block[:, j] = dj
-                        continue
-                    keep = dc <= (lo + 2.0 * rcell[ui]) * _SLACK
-                    dj = self._seg_min_dist(mpx, mpy, ax[keep], ay[keep],
-                                            dx[keep], dy[keep],
-                                            invl[keep])
-                else:
-                    dj = np.full(len(mpx), np.inf)
-                for q in range(p, b):  # single-point parts: hypot path as before
-                    dj = np.minimum(dj, np.hypot(mpx - T.ax[q], mpy - T.ay[q]))
-                block[:, j] = dj
-            D[idx] = block
-        return self._select_topk(D, k)
-
-    @staticmethod
-    def _select_topk(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        # STABLE argsort, not argpartition: among EQUAL distances
-        # straddling rank k argpartition picks arbitrarily. Stable sort
-        # ties break by column order, the global route index, as the
-        # bound descent's ``_group_topk`` does. Route counts are
-        # dim-scale, so the log-factor over argpartition is noise.
-        order = np.argsort(D, axis=1, kind="stable")[:, :k]
-        return order, np.take_along_axis(D, order, axis=1)
 
     def _descent_topk(self, lon, lat, px, py, k):
         """Bound descent (``_descend``) over ``KNN_LEVELS``, then the
@@ -724,10 +623,7 @@ class KnnStage:
                 "rank": pa.array([], pa.int32()),
                 "route_id": pa.array([], pa.string()),
                 "dist_m": pa.array([], pa.float64())})
-        if self.ring is not None:
-            top, topd = self._descent_topk(lon, lat, px, py, k)
-        else:
-            top, topd = self._exact_scan_pruned(lon, lat, px, py, k)
+        top, topd = self._descent_topk(lon, lat, px, py, k)
         ids = pc.take(
             ids.combine_chunks(),
             pa.array(np.repeat(np.arange(n, dtype=np.int64), k)),

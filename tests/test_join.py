@@ -558,11 +558,13 @@ def _disc_routes(n):
 
 
 class TestKnnRingPath:
+    """kNN against many routes (the class predates the bound descent,
+    which replaced a per-cell ring walk)."""
+
     def test_ring_path_matches_exact_scan_256_routes(self, ray_session):
-        """At 256 routes KnnStage picks the cell-ring expansion, and its
-        output must equal a brute-force distance to every route (ids
-        and ranks equal, distances bit-equal) — the regime the ring
-        path exists for."""
+        """At 256 routes KnnStage's output must equal a brute-force
+        distance to every route (ids and ranks equal, distances
+        bit-equal)."""
         import ray
 
         from geotile.ops.join import KnnStage
@@ -571,7 +573,6 @@ class TestKnnRingPath:
         routes = _disc_routes(256)
         batch = make_image_batch(np.arange(3000)).select(JOIN_COLUMNS)
         stage = KnnStage(ray.put(routes), k=3)
-        assert stage.ring is not None
         got = stage(batch).to_pandas()
         want_ids, want_d = _knn_brute_force(
             routes, batch["lon"].to_numpy(), batch["lat"].to_numpy(), 3)
@@ -581,9 +582,8 @@ class TestKnnRingPath:
         assert (got["dist_m"].to_numpy() == want_d.ravel()).all()
 
     def test_nan_route_vertex(self, ray_session):
-        """A route with a NaN vertex still builds the ring index (its
-        non-finite segments are not covered) and the output keeps the
-        brute-force NaN pattern and finite distances."""
+        """A route with a NaN vertex stays out of the descent, and the
+        output keeps the brute-force NaN pattern and finite distances."""
         import ray
 
         from geotile.ops.join import KnnStage
@@ -595,7 +595,6 @@ class TestKnnRingPath:
         routes["R005"] = [bad]
         batch = make_image_batch(np.arange(1000)).select(JOIN_COLUMNS)
         stage = KnnStage(ray.put(routes), k=3)
-        assert stage.ring is not None
         got = stage(batch).to_pandas()
         want_ids, want_d = _knn_brute_force(
             routes, batch["lon"].to_numpy(), batch["lat"].to_numpy(), 3)
@@ -630,9 +629,8 @@ def _lonlat_batch(lon, lat):
 
 def _knn_vs_brute(stage, routes, lon, lat, k):
     """(stage output as pandas, brute-force ids, brute-force dist_m) for
-    rows at ``lon``/``lat``; asserts the stage took the bound descent
-    and emitted k rows per row in row order."""
-    assert stage.ring is not None
+    rows at ``lon``/``lat``; asserts the stage emitted k rows per row
+    in row order."""
     got = stage(_lonlat_batch(lon, lat)).to_pandas()
     want_ids, want_d = _knn_brute_force(routes, np.asarray(lon), np.asarray(lat), k)
     assert got["image_id"].tolist() == [f"img-{i:08d}" for i in range(len(lon)) for _ in range(k)]
@@ -641,7 +639,7 @@ def _knn_vs_brute(stage, routes, lon, lat, k):
 
 
 class TestKnnDescent:
-    """Edge cases of the bound descent (> KNN_RING_THRESHOLD routes):
+    """Edge cases of the bound descent:
     every output is bit-equal to ``_knn_brute_force``, whose stable sort
     breaks equal distances by the lowest route index."""
 
@@ -830,11 +828,11 @@ class TestInvalidCoordinates:
 
     @pytest.mark.parametrize("n_routes", [4, 40])
     def test_knn_drops_invalid_rows(self, n_routes):
-        """Invalid rows get no neighbours on either kNN path (pruned
-        scan at 4 routes, ring expansion at 40); the valid rows between
-        them get the brute-force answer. The two valid rows of LON/LAT
-        sit half a world from the corridor and are left out: the ring
-        expansion walks every ring out to them."""
+        """Invalid rows get no neighbours, at 4 and at 40 routes; the
+        valid rows between them get the brute-force answer. The two valid
+        rows of LON/LAT sit half a world from the corridor and are left
+        out here; ``TestKnnRingPath::test_far_rows_match_brute_force``
+        covers such rows."""
         import pyarrow as pa
 
         from geotile.ops.join import KnnStage
@@ -849,7 +847,6 @@ class TestInvalidCoordinates:
         batch = pa.table({"image_id": ids, "caption": ["c"] * len(ids),
                           "lon": pa.array(lon, pa.float64()), "lat": pa.array(lat, pa.float64())})
         stage = KnnStage(routes, k=3)
-        assert (stage.ring is not None) == (n_routes > 32)
         got = stage(batch).to_pandas()
         want_ids, want_d = _knn_brute_force(routes, vlon, vlat, 3)
         assert got["image_id"].tolist() == [f"img-{i:08d}" for i in range(30) for _ in range(3)]

@@ -46,17 +46,17 @@ def test_knn_zero_routes_returns_typed_empty(ray_session, image_table_dir):
 
 
 def test_select_topk_tie_break_is_candidate_order():
-    from geotile.ops.join import KnnStage
+    from geotile.ops.join import _group_topk
 
-    # three candidates, two tied at the k=2 boundary: the winner must
-    # be the LOWER COLUMN (global route index), identically however
-    # the matrix is laid out
-    D = np.array([[5.0, 3.0, 3.0],
-                  [1.0, 1.0, 1.0]])
-    top, topd = KnnStage._select_topk(D, 2)
+    # two groups of three candidates (kNN picks the top k per row from
+    # its routes in index order), two tied at the k=2 boundary: the
+    # winner must be the LOWER position (global route index)
+    D = np.array([5.0, 3.0, 3.0,
+                  1.0, 1.0, 1.0])
+    top = _group_topk(D, np.array([0, 3]), 2) - np.array([[0], [3]])
     assert top[0].tolist() == [1, 2]     # ties 3.0/3.0 -> cols 1 then 2
     assert top[1].tolist() == [0, 1]     # all tied -> cols 0 then 1
-    assert topd[0].tolist() == [3.0, 3.0]
+    assert D[:3][top[0]].tolist() == [3.0, 3.0]
 
 
 def test_checkpoint_fingerprint_precedes_execution(tmp_path, ray_session):

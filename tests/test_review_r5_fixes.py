@@ -137,25 +137,9 @@ def test_ngram_prefix_vectorized_parity(ray_session):
 
 
 def _mk_knn_stage(routes):
-    import numpy as np
-
     import geotile.ops.join as J
 
-    mx, my = J.meter_frame(J._ANCHOR_LAT)
-
-    class S(J.KnnStage):
-        def __init__(self):
-            self.k = 2
-            self.route_ids = sorted(routes)
-            self.ring = None
-            self.lines = [
-                [np.column_stack([(p[:, 0] - J._ANCHOR_LON) * mx,
-                                  (p[:, 1] - J._ANCHOR_LAT) * my])
-                 for p in routes[r]] for r in self.route_ids]
-            self.mx, self.my = mx, my
-            self.seg = None
-
-    return S()
+    return J.KnnStage(routes, k=2)
 
 
 def _mk_routes(seed=42, n_routes=3, n_pts=40):
@@ -173,35 +157,42 @@ def _mk_routes(seed=42, n_routes=3, n_pts=40):
     return routes
 
 
+def _straight_topk(st, px, py, k):
+    """Distance to every route part, then a stable sort: ties go to the
+    lowest route index."""
+    import numpy as np
+
+    D = np.stack([st._route_dist(j, px, py) for j in range(len(st.route_ids))], axis=1)
+    order = np.argsort(D, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(D, order, axis=1)
+
+
 def test_knn_pruned_scan_bit_identical(ray_session):
-    """The cell-pruned exact kNN scan must return a BIT-identical
-    (indices, distances) result to the straight all-segments scan —
-    pruning may only skip segments that provably cannot be any point's
-    minimum. Out-of-range coordinates never reach this scan: KnnStage
-    drops them first (tests/test_join.py::TestInvalidCoordinates)."""
+    """The bound descent (it prunes routes and segments per cell) must
+    return a BIT-identical (indices, distances) result to the straight
+    all-segments scan — pruning may only skip segments that provably
+    cannot be any point's minimum. Out-of-range coordinates never reach
+    it: KnnStage drops them first
+    (tests/test_join.py::TestInvalidCoordinates)."""
     import numpy as np
 
     import geotile.ops.join as J
 
     rng = np.random.default_rng(42)
     st = _mk_knn_stage(_mk_routes())
-    mx, my = st.mx, st.my
     n = 5000
     lon = rng.uniform(-122.45, -122.10, n)
     lat = rng.uniform(37.40, 37.75, n)
-    px = (lon - J._ANCHOR_LON) * mx
-    py = (lat - J._ANCHOR_LAT) * my
-    d_old = np.stack([st._route_dist(j, px, py)
-                      for j in range(len(st.route_ids))], axis=1)
-    ti_old, td_old = st._select_topk(d_old, 2)
-    ti_new, td_new = st._exact_scan_pruned(lon, lat, px, py, 2)
+    px, py = J._knn_xy(lon, lat)
+    ti_old, td_old = _straight_topk(st, px, py, 2)
+    ti_new, td_new = st._descent_topk(lon, lat, px, py, 2)
     assert np.array_equal(ti_old, ti_new)
     assert np.array_equal(td_old, td_new)  # bit equality, not allclose
 
 
 def test_knn_pruned_gate_and_nan_geometry(ray_session):
-    """NaN route geometry degrades to the straight scan's NaN
-    propagation instead of crashing on an empty pruned reduction."""
+    """NaN route geometry keeps the straight scan's NaN propagation:
+    the route stays out of the descent and merges by distance."""
     import numpy as np
 
     import geotile.ops.join as J
@@ -212,12 +203,9 @@ def test_knn_pruned_gate_and_nan_geometry(ray_session):
     rng = np.random.default_rng(7)
     lon = rng.uniform(-122.45, -122.10, 4500)
     lat = rng.uniform(37.40, 37.75, 4500)
-    px = (lon - J._ANCHOR_LON) * stn.mx
-    py = (lat - J._ANCHOR_LAT) * stn.my
-    ti, td = stn._exact_scan_pruned(lon, lat, px, py, 2)  # no crash
-    d_old = np.stack([stn._route_dist(j, px, py)
-                      for j in range(len(stn.route_ids))], axis=1)
-    _, td_old = stn._select_topk(d_old, 2)
+    px, py = J._knn_xy(lon, lat)
+    ti, td = stn._descent_topk(lon, lat, px, py, 2)  # no crash
+    _, td_old = _straight_topk(stn, px, py, 2)
     # same NaN pattern and same finite values as the straight scan
     assert np.array_equal(np.isnan(td), np.isnan(td_old))
     f = ~np.isnan(td)
