@@ -36,7 +36,7 @@ from geotile.geom import cells
 from geotile.geom.buffer import meter_frame
 from geotile.geom.pip import close_rings, points_in_polygon, points_to_polyline_distance
 from geotile.geom.raster import polygon_cover
-from geotile.ops.tiles import footprint_quads, georef_batch, row_lonlat
+from geotile.ops.tiles import footprint_bounds, footprint_quads, georef_batch, row_lonlat
 
 DEFAULT_JOIN_RES = 18  # ~120m × 76m cells: fine enough that most cover
                        # cells are fully inside a 400 m buffer (PIP-free)
@@ -390,7 +390,7 @@ def spatial_join(ds: rd.Dataset, index: RouteIndex) -> rd.Dataset:
 KNN_LEVELS = (11, 13, 15, 17)  # bound-descent cell resolutions, coarse to
 # fine (~15 km down to ~240 m wide here); the points are the last level
 _KNN_MAX_PAIRS = 1 << 16  # (item, entry) pairs per descent chunk: its
-# temporaries stay cache-resident. One KnnStage call, 1-vCPU host, 64k vs
+# temporaries stay cache-resident. One KnnStage call, 4-CPU host, 64k vs
 # 4M pairs: 4 disc routes × 100k rows 0.25 vs 0.53 s, 1024 × 20k 0.31 vs
 # 0.82 s; a 30k-row route_rollup block 0.03–0.04 s either way
 _SLACK = 1.0 + 8.0 * np.finfo(np.float64).eps  # relative slack on every
@@ -667,24 +667,6 @@ def knn_routes(ds: rd.Dataset, route_lines: dict[str, np.ndarray], k: int = 3) -
 CELL_COUNT_RES = 12  # ~7.8 km × 4.9 km cells at the corridor's latitude
 
 
-def _unique_counts_u64(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(return_counts) replacement for clustered uint64 keys:
-    when the value span is small (ROI-bounded cells at a coarse res) a
-    single bincount pass beats the sort ~5× (1.5ms → 0.3ms per 65k-row
-    batch — ×9k batches that is ~0.3s of the 32-cpu bench window);
-    wide-span inputs fall back to the sort."""
-    if len(v) == 0:
-        return v, np.empty(0, np.int64)
-    cmin, cmax = v.min(), v.max()
-    span = int(cmax - cmin)
-    if span <= max(1 << 20, 4 * len(v)):
-        bc = np.bincount((v - cmin).astype(np.int64), minlength=span + 1)
-        nz = np.flatnonzero(bc)
-        return (nz.astype(np.uint64) + cmin), bc[nz].astype(np.int64)
-    uniq, counts = np.unique(v, return_counts=True)
-    return uniq, counts.astype(np.int64)
-
-
 def _merge_cell_counts(t: pa.Table) -> pa.Table:
     """Key-agnostic partial-count merge (the tree-reduce step): sums
     ``n`` per ``cell`` within one block with a bincount over the inverse
@@ -705,7 +687,7 @@ def _partial_cell_counts(batch: pa.Table) -> pa.Table:
     valid = cells.valid_lonlat(lon, lat)
     if not valid.all():
         lon, lat = lon[valid], lat[valid]
-    uniq, counts = _unique_counts_u64(cells.encode(lon, lat, CELL_COUNT_RES))
+    uniq, counts = np.unique(cells.encode(lon, lat, CELL_COUNT_RES), return_counts=True)
     return pa.table(
         {
             "cell": pa.array(uniq.view(np.int64)),
@@ -886,39 +868,39 @@ def _json_escape(arr: pa.Array) -> pa.Array:
 FC_MAX_FEATURES = 100_000  # per-route feature cap (row carries true n_tiles)
 
 
-def _route_fc(df: pd.DataFrame) -> pd.DataFrame:
-    n_total = len(df)
-    df = df.sort_values("image_id", kind="stable").head(FC_MAX_FEATURES)
-    quads = np.round(footprint_quads(df["lon"].to_numpy(), df["lat"].to_numpy()), 7)
-    # feature-string assembly entirely in Arrow C kernels: float→string
-    # casts + binary_join_element_wise (numpy object-array concatenation
-    # is per-element Python under the hood — VERDICT r2 'what's wrong' #1)
-    flat = quads.reshape(len(df), 10)  # x0 y0 ... x4 y4
-    num = [pc.cast(pa.array(flat[:, j]), pa.string()) for j in range(10)]
-    ring = pc.binary_join_element_wise(
-        "[[", num[0], ",", num[1], "],[", num[2], ",", num[3], "],[",
-        num[4], ",", num[5], "],[", num[6], ",", num[7], "],[",
-        num[8], ",", num[9], "]]",
-        "",  # binary_join_element_wise takes the LAST arg as separator
-    )
-    ids = _json_escape(pa.array(df["image_id"].to_numpy(), pa.string()))
-    caps = _json_escape(pa.array(df["caption"].to_numpy(), pa.string()))
-    cells_s = pc.cast(pa.array(df["cell"].to_numpy()), pa.string())
+def _route_fcs(t: pa.Table) -> pa.Table:
+    """Joined rows of any number of routes → one FeatureCollection row
+    per route, in route_id order. One sort by (route_id, image_id);
+    route starts from the dictionary codes; the first
+    ``FC_MAX_FEATURES`` rows of each route kept; every feature built in
+    one ``binary_join_element_wise`` (a quad has two distinct x and two
+    distinct y values, so 4 coordinate casts carry all 10); each route's
+    features joined through list offsets."""
+    t = t.take(pc.sort_indices(t, [("route_id", "ascending"), ("image_id", "ascending")]))
+    code = pc.dictionary_encode(t["route_id"].combine_chunks()).indices.to_numpy()
+    start = np.flatnonzero(np.diff(code, prepend=-1))
+    n_tiles = np.diff(start, append=len(code))
+    kept = np.minimum(n_tiles, FC_MAX_FEATURES)
+    route_id = t["route_id"].take(start)
+    t = t.take(_expand(start, kept)[1])
+    w, s, e, n = (pc.cast(pa.array(np.round(v, 7)), pa.string())
+                  for v in footprint_bounds(*row_lonlat(t)))
     feats = pc.binary_join_element_wise(
-        '{"type":"Feature","properties":{"image_id":"', ids,
-        '","caption":"', caps, '","cell":', cells_s,
-        '},"geometry":{"type":"Polygon","coordinates":[', ring, "]}}",
-        "",  # separator
-    )
-    joined_feats = pc.binary_join(
-        pa.ListArray.from_arrays(pa.array([0, len(feats)], pa.int32()), feats), ","
-    )[0].as_py() if len(feats) else ""
-    fc = '{"type":"FeatureCollection","features":[' + joined_feats + "]}"
-    return pd.DataFrame({
-        "route_id": [df["route_id"].iloc[0]],
-        "n_tiles": [n_total],  # TRUE count, pre-truncation
-        "truncated": [n_total > len(df)],
-        "fc_json": [fc],
+        '{"type":"Feature","properties":{"image_id":"', _json_escape(t["image_id"]),
+        '","caption":"', _json_escape(t["caption"]), '","cell":', pc.cast(t["cell"], pa.string()),
+        '},"geometry":{"type":"Polygon","coordinates":[[[', w, ",", s, "],[", e, ",", s,
+        "],[", e, ",", n, "],[", w, ",", n, "],[", w, ",", s, "]]]}}",
+        "",  # binary_join_element_wise takes the LAST arg as separator
+    ).combine_chunks()
+    offsets = pa.array(np.concatenate([[0], np.cumsum(kept)]), pa.int32())
+    fc = pc.binary_join_element_wise(
+        '{"type":"FeatureCollection","features":[',
+        pc.binary_join(pa.ListArray.from_arrays(offsets, feats), ","), "]}", "")
+    return pa.table({
+        "route_id": route_id,
+        "n_tiles": pa.array(n_tiles),  # TRUE count, pre-truncation
+        "truncated": pa.array(n_tiles > kept),
+        "fc_json": fc,
     })
 
 
@@ -947,41 +929,13 @@ def write_route_fcs(fcs: rd.Dataset, out_dir: str) -> list[str]:
 
 
 def assemble_route_fcs(joined: rd.Dataset) -> rd.Dataset:
-    """groupby(route_id) → one FeatureCollection row per route, features
-    ordered by image_id, captions as properties (north_star), each
-    feature's quad built from the row's stored lon/lat. The
-    ``FC_MAX_FEATURES`` cap bounds single-row size at extreme scale
-    (logged, not silent — row carries the true n_tiles count)."""
-    from geotile.ops.hashing import hash_strings
-
-    # co-partition by an int64 hash of route_id and assemble every
-    # route inside the bucket with one pandas groupby: the Ray
-    # map_groups sort compares int64 bucket keys instead of the full
-    # string route_id column (measured 2.24 s of Sort on 660k rows),
-    # and all rows of a route still co-locate because the bucket
-    # derives from route_id alone. Bucket count rides cluster width.
-    P = max(8, int(ray.cluster_resources().get("CPU", 16)))
-
-    def add_rb(t: pa.Table) -> pa.Table:
-        col = t["route_id"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        rb = (hash_strings(col) % np.uint64(P)).astype(np.int64)
-        return t.append_column("rb", pa.array(rb))
-
-    def fc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return pd.DataFrame({"route_id": pd.Series(dtype=object),
-                                 "n_tiles": pd.Series(dtype=np.int64),
-                                 "truncated": pd.Series(dtype=bool),
-                                 "fc_json": pd.Series(dtype=object)})
-        return pd.concat(
-            [_route_fc(g)
-             for _, g in df.groupby("route_id", sort=True)],
-            ignore_index=True)
-
-    return joined.map_batches(add_rb, batch_format="pyarrow") \
-        .groupby("rb").map_groups(fc_bucket, batch_format="pandas")
+    """groupby(route_id) → one FeatureCollection row per route
+    (``_route_fcs``): features ordered by image_id, captions and cells
+    as properties (north_star), each feature's quad built from the
+    row's stored lon/lat. The ``FC_MAX_FEATURES`` cap bounds single-row
+    size at extreme scale; the row carries the true ``n_tiles`` and
+    ``truncated``, so a cut is reported, not silent."""
+    return joined.groupby("route_id").map_groups(_route_fcs, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,9 @@ def read_image_table(
     path: str | list[str],
     columns: list[str] | None = None,
     override_num_blocks: int | None = None,
-    format: str = "auto",
 ) -> rd.Dataset:
-    """Pluggable reader for the Lance-style image+caption table. When
-    pylance is installed (not in this offline container), ``format=
-    "lance"`` / a ``.lance`` path goes through ``ray.data.read_lance``;
-    otherwise parquet stands in — downstream stages only ever see Arrow
-    batches, so the swap is invisible to the pipeline.
+    """Reader for the Lance-style image+caption table, stored as parquet
+    (same schema; downstream stages only ever see Arrow batches).
 
     ``override_num_blocks``: Ray sizes blocks from the FULL file size,
     so pruning the wide ``bytes`` column leaves hundreds of tiny blocks
@@ -47,22 +43,6 @@ def read_image_table(
     four-file tasks ran 4.4s on 32 cpus, and 8→32 scaling efficiency
     rose 0.77→0.81). ~3× the cluster CPU count is the floor that still
     load-balances."""
-    first = path[0] if isinstance(path, list) else path
-    want_lance = format == "lance" or (format == "auto" and str(first).endswith(".lance"))
-    if want_lance:
-        if isinstance(path, list) and len(path) > 1:
-            raise ValueError(
-                "read_lance takes ONE dataset URI; a Lance dataset is already "
-                "multi-fragment internally — pass the dataset root, not shards"
-            )
-        try:
-            import lance  # noqa: F401
-        except ImportError as e:
-            raise ImportError(
-                "pylance is not installed in this environment; use the "
-                "parquet stand-in (same schema, same downstream stages)"
-            ) from e
-        return rd.read_lance(first, columns=columns)
     return rd.read_parquet(path, columns=columns, override_num_blocks=override_num_blocks)
 
 
@@ -86,24 +66,23 @@ def georef_batch(batch: pa.Table, res: int) -> pa.Table:
     return batch.append_column("cell", pa.array(cell.view(np.int64)))
 
 
-def footprint_quads(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """Tile centroids → (n, 5, 2) closed axis-aligned footprint quads of
-    side ``TILE_SIDE_M``, in the corridor's equirectangular frame at
-    37.4° latitude."""
+def footprint_bounds(lon: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Tile centroids → (west, south, east, north) of each axis-aligned
+    footprint of side ``TILE_SIDE_M``, in the corridor's equirectangular
+    frame at 37.4° latitude."""
     m_per_deg_lat = 6371008.8 * np.pi / 180.0
     m_per_deg_lon = m_per_deg_lat * np.cos(np.radians(37.4))
     hw_lon = TILE_SIDE_M / 2 / m_per_deg_lon
     hw_lat = TILE_SIDE_M / 2 / m_per_deg_lat
-    return np.stack(
-        [
-            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
-            np.stack([lon + hw_lon, lat - hw_lat], axis=-1),
-            np.stack([lon + hw_lon, lat + hw_lat], axis=-1),
-            np.stack([lon - hw_lon, lat + hw_lat], axis=-1),
-            np.stack([lon - hw_lon, lat - hw_lat], axis=-1),
-        ],
-        axis=1,
-    )
+    return lon - hw_lon, lat - hw_lat, lon + hw_lon, lat + hw_lat
+
+
+def footprint_quads(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Tile centroids → (n, 5, 2) closed footprint quads (the corners of
+    ``footprint_bounds``, counter-clockwise from south-west)."""
+    w, s, e, n = footprint_bounds(lon, lat)
+    return np.stack([np.stack(c, axis=-1) for c in ((w, s), (e, s), (e, n), (w, n), (w, s))],
+                    axis=1)
 
 
 class ImageDecodeStage:

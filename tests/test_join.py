@@ -154,16 +154,24 @@ class TestKnn:
 
 class TestUniqueCountsU64:
     def test_matches_np_unique_both_paths(self):
-        from geotile.ops.join import _unique_counts_u64
+        """Per-block partial counts equal ``np.unique`` of the
+        ``CELL_COUNT_RES`` cells, on narrow- and wide-span inputs, an
+        empty table and a single row."""
+        import pyarrow as pa
+
+        from geotile.geom import cells
+        from geotile.ops.join import CELL_COUNT_RES, _partial_cell_counts
 
         rng = np.random.default_rng(31)
-        # narrow span → bincount path; wide span → sort fallback
-        narrow = rng.integers(10**6, 10**6 + 500, 5000).astype(np.uint64)
-        wide = rng.integers(0, 2**62, 5000).astype(np.uint64)
-        for v in (narrow, wide, np.array([], np.uint64), np.array([7], np.uint64)):
-            u, c = _unique_counts_u64(v)
-            eu, ec = np.unique(v, return_counts=True)
-            assert (u == eu).all() and (c == ec).all()
+        narrow = (rng.uniform(-122.5, -122.4, 5000), rng.uniform(37.5, 37.6, 5000))
+        wide = (rng.uniform(-179.9, 179.9, 5000), rng.uniform(-89.9, 89.9, 5000))
+        empty = (np.empty(0), np.empty(0))
+        one = (np.array([-122.3]), np.array([37.6]))
+        for lon, lat in (narrow, wide, empty, one):
+            got = _partial_cell_counts(pa.table({"lon": lon, "lat": lat}))
+            eu, ec = np.unique(cells.encode(lon, lat, CELL_COUNT_RES), return_counts=True)
+            assert got["cell"].to_numpy().view(np.uint64).tolist() == eu.tolist()
+            assert got["n"].to_pylist() == ec.tolist()
 
 
 class TestCellCounts:
@@ -242,24 +250,120 @@ class TestFcAssembly:
         """Each feature's footprint quad is centred on its row's stored
         lon/lat, on any table — not only where the id encodes a
         corridor placement."""
-        import pandas as pd
+        import pyarrow as pa
 
-        from geotile.ops.join import _route_fc
+        from geotile.ops.join import _route_fcs
 
         lon = np.array([2.35, 2.36, -73.99, 151.21, -122.3])
         lat = np.array([48.85, 48.86, 40.75, -33.87, 37.6])
-        df = pd.DataFrame({
+        t = pa.table({
             "image_id": [f"img-{i:08d}" for i in range(len(lon))],
             "caption": ["c"] * len(lon),
             "lon": lon, "lat": lat,
             "cell": np.arange(len(lon), dtype=np.int64),
             "route_id": ["R"] * len(lon),
         })
-        fc = json.loads(_route_fc(df).fc_json.iloc[0])
+        fc = json.loads(_route_fcs(t)["fc_json"][0].as_py())
         assert len(fc["features"]) == len(lon)
         for f, x, y in zip(fc["features"], lon, lat):
             ring = np.array(f["geometry"]["coordinates"][0])
             assert points_in_polygon(np.array([x]), np.array([y]), [ring])[0]
+
+    @staticmethod
+    def _joined_rows(n: int, n_routes: int, seed: int):
+        """A joined-shaped table whose ids, captions and route ids need
+        JSON escaping (quote, backslash, newline, CR, tab) or are not
+        ASCII."""
+        import pyarrow as pa
+
+        rng = np.random.default_rng(seed)
+        odd = ['a"b', "c\\d", "e\nf", "g\rh", "i\tj", "ü€漢", "plain", ""]
+        pick = lambda: odd[rng.integers(len(odd))]
+        return pa.table({
+            "image_id": [f"img-{rng.integers(10**6):08d}{pick()}" for _ in range(n)],
+            "caption": [f"{pick()}cap{i}{pick()}" for i in range(n)],
+            "lon": rng.uniform(-122.6, -121.8, n),
+            "lat": rng.uniform(37.2, 37.8, n),
+            "cell": rng.integers(0, 2**62, n),
+            "route_id": [f"R{rng.integers(n_routes)}{pick()}" for _ in range(n)],
+        })
+
+    @staticmethod
+    def _replay_route_fc(df, cap: int) -> dict:
+        """Reference FeatureCollection for one route's rows: a pandas
+        stable sort, then per column float/int → string casts and JSON
+        escaping, one feature string per row."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
+        from geotile.ops.tiles import footprint_quads
+
+        def esc(arr):
+            for pat, rep in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"),
+                             ("\r", "\\r"), ("\t", "\\t")):
+                arr = pc.replace_substring(arr, pattern=pat, replacement=rep)
+            return arr.to_pylist()
+
+        n_total = len(df)
+        df = df.sort_values("image_id", kind="stable").head(cap)
+        quads = np.round(footprint_quads(df["lon"].to_numpy(), df["lat"].to_numpy()), 7)
+        flat = quads.reshape(len(df), 10)
+        num = [pc.cast(pa.array(flat[:, j]), pa.string()).to_pylist() for j in range(10)]
+        ids = esc(pa.array(df["image_id"].to_numpy(), pa.string()))
+        caps = esc(pa.array(df["caption"].to_numpy(), pa.string()))
+        cell = pc.cast(pa.array(df["cell"].to_numpy()), pa.string()).to_pylist()
+        feats = []
+        for i in range(len(df)):
+            c = [num[j][i] for j in range(10)]
+            ring = "[" + ",".join(f"[{c[2 * v]},{c[2 * v + 1]}]" for v in range(5)) + "]"
+            feats.append(
+                f'{{"type":"Feature","properties":{{"image_id":"{ids[i]}","caption":"{caps[i]}",'
+                f'"cell":{cell[i]}}},"geometry":{{"type":"Polygon","coordinates":[{ring}]}}}}')
+        return {"n_tiles": n_total, "truncated": n_total > len(df),
+                "fc_json": '{"type":"FeatureCollection","features":[' + ",".join(feats) + "]}"}
+
+    def test_fc_bytes_match_replay(self, ray_session):
+        """``assemble_route_fcs`` over several blocks gives, per route,
+        the replay's ``fc_json`` byte for byte, its ``n_tiles`` and its
+        ``truncated``."""
+        import ray.data as rd
+
+        from geotile.ops.join import FC_MAX_FEATURES
+
+        t = self._joined_rows(3000, 80, seed=5)
+        got = assemble_route_fcs(rd.from_arrow([t.slice(0, 1100), t.slice(1100)])).take_all()
+        df = t.to_pandas()
+        want = {rid: self._replay_route_fc(g, FC_MAX_FEATURES)
+                for rid, g in df.groupby("route_id", sort=True)}
+        assert len(got) == len(want) > 80
+        for r in got:
+            w = want[r["route_id"]]
+            assert r["fc_json"].encode() == w["fc_json"].encode()
+            assert (r["n_tiles"], r["truncated"]) == (w["n_tiles"], w["truncated"])
+
+    def test_feature_cap(self, monkeypatch):
+        """Past ``FC_MAX_FEATURES`` a route keeps its lowest image ids and
+        reports its true ``n_tiles`` and ``truncated``; a shorter route
+        is untouched."""
+        import pyarrow as pa
+
+        import geotile.ops.join as J
+
+        monkeypatch.setattr(J, "FC_MAX_FEATURES", 3)
+        ids = ["img-5", "img-2", "img-9", "img-1", "img-7", "img-4", "img-3"]
+        t = pa.table({
+            "image_id": ids, "caption": ["c"] * 7,
+            "lon": np.full(7, -122.3), "lat": np.full(7, 37.6),
+            "cell": np.arange(7, dtype=np.int64),
+            "route_id": ["A", "A", "A", "A", "A", "B", "B"],
+        })
+        out = J._route_fcs(t).to_pylist()
+        assert [(r["route_id"], r["n_tiles"], r["truncated"]) for r in out] == [
+            ("A", 5, True), ("B", 2, False)]
+        feats = [[f["properties"]["image_id"] for f in json.loads(r["fc_json"])["features"]]
+                 for r in out]
+        assert feats == [["img-1", "img-2", "img-5"], ["img-3", "img-4"]]
+        assert J._route_fcs(t.slice(0, 0)).num_rows == 0
 
 
 class TestFcSink:
@@ -857,8 +961,9 @@ class TestInvalidCoordinates:
 class TestEngineImports:
     def test_join_stages_never_import_synth(self):
         """The join-module stages read tile position from the row: on a
-        hand-built table with lon/lat, none of them imports the
-        synthetic-data generator."""
+        hand-built table with lon/lat, none of them (FC assembly in a Ray
+        job included) imports the synthetic-data generator or the
+        battery's string hashing."""
         import subprocess
         import sys
         from pathlib import Path
@@ -878,8 +983,13 @@ class TestEngineImports:
             "assert joined['image_id'].to_pylist() == ids[:2]\n"
             "assert J._partial_cell_counts(t)['n'].to_pylist() != []\n"
             "assert J._footprint_cells(t, 18).num_rows >= 3\n"
-            "assert len(J._route_fc(joined.to_pandas())) == 1\n"
-            "assert 'geotile.synth' not in sys.modules, 'a join stage imported geotile.synth'\n"
+            "assert J._route_fcs(joined).num_rows == 1\n"
+            "import ray, ray.data as rd\n"
+            "ray.init(address='local', num_cpus=1, include_dashboard=False, logging_level='ERROR')\n"
+            "assert len(J.assemble_route_fcs(rd.from_arrow(joined)).take_all()) == 1\n"
+            "ray.shutdown()\n"
+            "for m in ('geotile.synth', 'geotile.ops.hashing'):\n"
+            "    assert m not in sys.modules, f'a join stage imported {m}'\n"
         )
         root = Path(__file__).resolve().parents[1]
         res = subprocess.run([sys.executable, "-c", script], cwd=root,
