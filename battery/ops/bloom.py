@@ -100,7 +100,7 @@ def bloom_semi_join(fact: rd.Dataset, keys: rd.Dataset, fact_key: str,
     passes ``n_keys`` (exact or upper bound) to size the filter —
     a materialized keys dataset makes ``count()`` metadata-cheap.
     """
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     ref, m, kk = bloom_build(keys, keys_key, n_keys, bits_per_key, k)
     survivors = bloom_prefilter(fact, fact_key, ref, m, kk)

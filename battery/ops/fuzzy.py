@@ -90,7 +90,7 @@ def fuzzy_token_pairs(
     vocab = token_vocab(docs, text_col).materialize()  # vocab-scale
 
     def expand(t: pa.Table) -> pa.Table:
-        from geotile.ops.hashing import hash_strings
+        from battery.ops.hashing import hash_strings
 
         toks = t["tok"].to_pylist()
         vs, ts = [], []

@@ -538,7 +538,7 @@ def bfs_levels(
     semi- and anti-join fall back to hash-bucketed co-partition when
     the keyset outgrows the broadcast guard), matching the reachability
     pattern of pagerank_int/connected_components."""
-    from geotile.ops.relational import anti_join, semi_join
+    from battery.ops.relational import anti_join, semi_join
 
     def sym(t: pa.Table) -> pa.Table:
         u = t[a].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -86,7 +86,7 @@ def profile_dataset(ds: rd.Dataset, spec: dict[str, str]) -> pd.DataFrame:
          .to_pandas())
 
     def distinct_keys(t: pa.Table) -> pa.Table:
-        from geotile.ops.hashing import hash_strings
+        from battery.ops.hashing import hash_strings
 
         parts = []
         for c in cols:

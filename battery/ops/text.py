@@ -6,7 +6,7 @@ string kernels / numpy) running as stateless tasks with the per-worker
 stage cache. Token-stats tokenization is plain single-space split so
 the DuckDB oracle (``string_split(text, ' ')``) states the identical
 semantics; fingerprints ride the whitespace-split hashed-token kernel
-in geotile.ops.hashing.
+in battery.ops.hashing.
 """
 
 from __future__ import annotations
@@ -128,8 +128,8 @@ def fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     the token-hash sequence (order-sensitive — reordered near-dups get
     different fingerprints, unlike simhash). Fully vectorized: one
     tokenize-and-hash pass + one segmented reduce for the whole batch
-    (geotile.ops.hashing.hashed_tokens / rolling_fingerprints)."""
-    from geotile.ops.hashing import hashed_tokens, rolling_fingerprints
+    (battery.ops.hashing.hashed_tokens / rolling_fingerprints)."""
+    from battery.ops.hashing import hashed_tokens, rolling_fingerprints
 
     h, off = hashed_tokens(batch[text_col])
     out = rolling_fingerprints(h, off)
@@ -212,7 +212,7 @@ def tfidf_top_terms(
     broadcast, no driver materialization."""
     import ray
 
-    from geotile.ops.hashing import hash_strings
+    from battery.ops.hashing import hash_strings
     from geotile.ops.join import _cached_stage
 
     if n_docs is None:

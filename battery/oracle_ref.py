@@ -4,8 +4,8 @@ correctness gate (and cross-checked against the vectorized engine
 kernels in tests/test_oracles_r3.py).
 
 Everything here is pure-Python integer arithmetic (no numpy on the data
-path): a vectorization bug in geotile.ops.hashing / geotile.ops.dedup /
-geotile.ops.sketch cannot also live here, so a driver value-hash match
+path): a vectorization bug in battery.ops.hashing / battery.ops.dedup /
+battery.ops.sketch cannot also live here, so a driver value-hash match
 means the two implementations agree on every row. The SPEC constants
 (FNV-prime polynomial base, splitmix64 finalizer, golden-ratio length
 salt) are redeclared literally from the published algorithms rather
@@ -324,7 +324,7 @@ def hilbert_xy2d(order: int, x: int, y: int) -> int:
     """Scalar Hilbert curve index of grid cell (x, y) on a 2^order ×
     2^order grid — the published iterative xy2d (Wikipedia "Hilbert
     curve", converting to/from Hilbert order). Pure python ints; the
-    engine's vectorized numpy twin lives in geotile/geom/hilbert.py and
+    engine's vectorized numpy twin lives in battery/geom/hilbert.py and
     a bug cannot live in both."""
     d = 0
     s = 1 << (order - 1)

@@ -1,7 +1,7 @@
 """Driver-contract query battery (CORRECTNESS gate).
 
 Split into ordered per-family modules; this package merges their
-namespaces so ``from geotile.queries import <name>`` resolves any
+namespaces so ``from battery.queries import <name>`` resolves any
 query, helper or constant exactly as the former single module did.
 An import-time assertion rejects a top-level name defined in two
 modules (the round-3 `_cm_sql` shadowing bug class).

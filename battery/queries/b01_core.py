@@ -49,6 +49,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.dissolve import _footprint_cells, dissolve_tile_footprints
+from battery.ops.images import ImageDecodeStage, ImageEmbedStage, ImageHistogramStage, ImageResizeStage
+
 
 _R = 4  # float rounding for driver value-hash comparability
 
@@ -120,11 +123,11 @@ def _dim_np(sf_dir: str, table: str, key: str, cols: list[str],
             max_rows: int = 5_000_000):
     """Shared replacement for the r3 ``take_all()`` + per-row-dict dim
     idiom (VERDICT r3 #2): size-capped driver materialization via
-    :func:`geotile.ops.relational.broadcast_dim` — Arrow refs → one
+    :func:`battery.ops.relational.broadcast_dim` — Arrow refs → one
     sorted table → zero-copy numpy columns, no Python row loop.
     Returns ``(sorted_keys, col_array, ...)`` aligned by key position;
     a dataset over the cap raises (route it through bucketed_join)."""
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     keys, tbl = broadcast_dim(
         _read(sf_dir, table, [key] + cols), key, max_rows=max_rows)
@@ -142,8 +145,8 @@ def _emb_dim_np(sf_dir: str, extra_cols: tuple[str, ...] = (),
     cap is the explicit statement that this is the SMALL-corpus path;
     at the 100 TB point the LSH-bucketed twin replaces the broadcast
     (each caller's docstring names its replacement)."""
-    from geotile.ops.ann import _emb_matrix
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.ann import _emb_matrix
+    from battery.ops.relational import broadcast_dim
 
     keys, tbl = broadcast_dim(
         _read(sf_dir, "embeddings", ["vec_id", "embedding", *extra_cols]),
@@ -238,7 +241,7 @@ def q_cust_nation_orders(sf_dir: str):
         ["n_orders", "total"]
     )
     agg = _rename(agg, ["custkey", "n_orders", "total"])
-    from geotile.ops.relational import dim_lookup
+    from battery.ops.relational import dim_lookup
 
     ck, cname, cnat = _dim_np(sf_dir, "customer", "c_custkey",
                               ["c_name", "c_nationkey"])
@@ -288,7 +291,7 @@ def q_broadcast_join_brand_revenue(sf_dir: str):
         # VERIFIED searchsorted gather + bincount combiner: no per-row
         # Python on the lineitem fact; lines whose part is absent DROP
         # (inner semantics, as the oracle's JOIN part does)
-        from geotile.ops.relational import dim_lookup
+        from battery.ops.relational import dim_lookup
 
         pk_, codes_, brands_ = _broadcast(dim_ref)
         pi, phit = dim_lookup(pk_, t["l_partkey"].to_numpy()
@@ -335,7 +338,7 @@ def q_semi_join_date_filter(sf_dir: str):
         ).select(["o_orderkey"]),
         batch_format="pyarrow",
     )
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     # filtered orderkeys are fact-scale at 100 TB: the cap documents the
     # broadcast assumption (over it → ops.relational.semi_join / bloom)
@@ -363,7 +366,7 @@ def q_left_join_customer_orders(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey"])
     counts = orders.groupby("o_custkey").count()
     counts = _rename(counts, ["custkey", "cnt"])
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     # per-custkey counts are FACT-keyed at the 100 TB design point —
     # the cap makes the broadcast assumption explicit (over it, this
@@ -407,7 +410,7 @@ def q_distinct_parts_per_flag(sf_dir: str):
 
 
 def q_exact_dedup_docs(sf_dir: str):
-    from geotile.ops.dedup import exact_dedup
+    from battery.ops.dedup import exact_dedup
 
     return exact_dedup(_read(sf_dir, "documents", ["doc_id", "text"]))
 
@@ -553,7 +556,7 @@ def q_anti_join_customers(sf_dir: str):
     broadcasts and filters inside map_batches; beyond the cap the
     relational.anti_join helper falls back to the bucketed co-partition
     path — driver memory never scales with the filter's selectivity."""
-    from geotile.ops.relational import anti_join
+    from battery.ops.relational import anti_join
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     big = orders.map_batches(
@@ -636,7 +639,7 @@ def q_hll_distinct_users(sf_dir: str):
     HLL replay (oracle_ref sidecar) exactly, the exact count must match
     SQL COUNT(DISTINCT), and the bounded-error flag |est−exact|/exact ≤
     0.05 must hold."""
-    from geotile.ops.sketch import hll_distinct
+    from battery.ops.sketch import hll_distinct
 
     ds = _read(sf_dir, "events", ["user_id"])
     est = int(round(hll_distinct(ds, "user_id")))
@@ -657,7 +660,7 @@ def q_hll_grouped_users(sf_dir: str):
     batch). Same oracle contract as the global sketch: estimate ==
     independent scalar replay (sidecar), exact == SQL COUNT(DISTINCT),
     bounded error flag genuinely computed engine-side."""
-    from geotile.ops.sketch import hll_distinct_grouped
+    from battery.ops.sketch import hll_distinct_grouped
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     est = {
@@ -724,7 +727,7 @@ def q_heavy_hitter_users(sf_dir: str):
     guarantee covers exactly the users with frequency > n/64 (vacuous
     on uniform data; the skewed-distribution case is asserted in
     tests/test_sketch.py)."""
-    from geotile.ops.sketch import mg_topk
+    from battery.ops.sketch import mg_topk
 
     ev = _read(sf_dir, "events", ["user_id"])
     counts = ev.groupby("user_id").count()
@@ -774,7 +777,7 @@ def q_hash_sample_docs(sf_dir: str):
 def q_bucket_join_priority_revenue(sf_dir: str):
     """Both-sides-large hash join (bucketed co-partition, no broadcast):
     lineitem ⋈ orders on orderkey → revenue per order priority."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
@@ -809,7 +812,7 @@ def q_bucket_join_priority_revenue(sf_dir: str):
 
 def q_user_sessions(sf_dir: str):
     """Streaming-shaped sessionization: per user, 30-min-gap sessions."""
-    from geotile.ops.relational import sessionize
+    from battery.ops.relational import sessionize
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
     s = sessionize(ev, key="user_id", ts="ts", gap_s=1800.0)
@@ -886,7 +889,7 @@ def q_window_events(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_doc_token_stats(sf_dir: str):
-    from geotile.ops.text import token_stats_batch
+    from battery.ops.text import token_stats_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     out = ds.map_batches(token_stats_batch, batch_format="pyarrow", zero_copy_batch=True)
@@ -911,7 +914,7 @@ def q_doc_stats_by_lang(sf_dir: str):
 
 
 def q_knn_embeddings(sf_dir: str):
-    from geotile.ops.ann import topk_bruteforce
+    from battery.ops.ann import topk_bruteforce
 
     import pyarrow.dataset as pads
 
@@ -946,7 +949,7 @@ def q_knn_embeddings(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_lang_id_docs(sf_dir: str):
-    from geotile.ops.text import lang_id
+    from battery.ops.text import lang_id
 
     return lang_id(_read(sf_dir, "documents", ["doc_id", "text", "lang"])).select_columns(
         ["doc_id", "lang", "lang_pred"]
@@ -955,7 +958,7 @@ def q_lang_id_docs(sf_dir: str):
 
 
 def q_fingerprint_docs(sf_dir: str):
-    from geotile.ops.text import fingerprint_batch
+    from battery.ops.text import fingerprint_batch
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         fingerprint_batch, batch_format="pyarrow", zero_copy_batch=True
@@ -966,7 +969,7 @@ def q_fingerprint_docs(sf_dir: str):
 def q_minhash_pairs_docs(sf_dir: str):
     """MinHash+LSH near-dup pairs; jaccard scaled to the e6 integer
     lattice so the driver hash matches the scalar-replay sidecar."""
-    from geotile.ops.dedup import minhash_lsh_pairs
+    from battery.ops.dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]), threshold=0.35
@@ -981,7 +984,7 @@ def q_minhash_pairs_docs(sf_dir: str):
 
 
 def q_simhash_docs(sf_dir: str):
-    from geotile.ops.dedup import simhash_batch
+    from battery.ops.dedup import simhash_batch
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         simhash_batch, batch_format="pyarrow", zero_copy_batch=True
@@ -992,14 +995,14 @@ def q_simhash_docs(sf_dir: str):
 def q_simhash_pairs_docs(sf_dir: str):
     """SimHash near-dup PAIRS (pigeonhole banding + Hamming verify) —
     oracle: independent scalar replay sidecar."""
-    from geotile.ops.dedup import simhash_pairs
+    from battery.ops.dedup import simhash_pairs
 
     return simhash_pairs(_read(sf_dir, "documents", ["doc_id", "text"]), max_hamming=4)
 
 
 
 def q_embedding_dups(sf_dir: str):
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     return embedding_dup_pairs(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35)
 
@@ -1016,7 +1019,7 @@ def q_ivf_ann(sf_dir: str):
     fixed data and seeded k-means.) The raw IVF neighbor rows are not
     oracle-predictable without replaying k-means; they stay covered by
     the pytest recall assertions."""
-    from geotile.ops.ann import ivf_topk, topk_bruteforce
+    from battery.ops.ann import ivf_topk, topk_bruteforce
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     q = emb.map_batches(
@@ -1103,10 +1106,13 @@ def _geom_digest() -> str:
     ANY code change to the index build, geometry kernels or fixture
     synth auto-invalidates cached artifacts (route-index pickle AND the
     oracle sidecar parquets — ADVICE r2: existence-keyed sidecars would
-    silently replay stale geometry expectations after an edit)."""
+    silently replay stale geometry expectations after an edit; the
+    dissolve and lattice modules hold code cut from join/raster)."""
     from pathlib import Path
     from hashlib import blake2b
 
+    import battery.geom.lattice as _lat
+    import battery.ops.dissolve as _dis
     import geotile.geom.buffer as _b
     import geotile.geom.cells as _c
     import geotile.geom.pip as _p
@@ -1116,7 +1122,7 @@ def _geom_digest() -> str:
     import geotile.synth as _sy
 
     hh = blake2b(digest_size=8)
-    for mod in (_j, _r, _p, _c, _b, _rd, _sy):
+    for mod in (_j, _r, _p, _c, _b, _rd, _sy, _dis, _lat):
         hh.update(Path(mod.__file__).read_bytes())
     return hh.hexdigest()
 
@@ -1230,7 +1236,7 @@ def q_tile_dissolve(sf_dir: str):
     saddle convention). Per-polygon ring detail stays golden-tested in
     tests/test_join.py."""
     from geotile.geom import cells as cellmod
-    from geotile.ops.join import DEFAULT_JOIN_RES, dissolve_tile_footprints
+    from geotile.ops.join import DEFAULT_JOIN_RES
     from geotile.ops.tiles import JOIN_COLUMNS, read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir), columns=JOIN_COLUMNS)
@@ -1247,7 +1253,7 @@ def q_tile_dissolve(sf_dir: str):
 
 def q_image_invariants(sf_dir: str):
     """Per-row payload invariants (decode + phash) on a sample."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1000)
     return ds.map_batches(
@@ -1267,7 +1273,7 @@ def q_image_channel_histogram(sf_dir: str):
     the expected histogram is rebuilt from synth.pixel_pattern (the
     ground-truth generator, independent of the PNG decode path) with a
     different counting kernel (np.unique vs bincount)."""
-    from geotile.ops.tiles import ImageHistogramStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
     part = ds.map_batches(
@@ -1398,7 +1404,7 @@ def q_gtfs_dissolved_stats(sf_dir: str):
 
 
 def q_doc_quality(sf_dir: str):
-    from geotile.ops.text import doc_stats
+    from battery.ops.text import doc_stats
 
     out = doc_stats(_read(sf_dir, "documents", ["doc_id", "text"]))
     return out.map_batches(
@@ -1415,7 +1421,7 @@ def q_image_resize(sf_dir: str):
     the area-mean of the resized pixels equals the area-mean of the
     decoded original within quantization (±1 grey level per channel) —
     the engine computes the flag, the oracle states TRUE per row."""
-    from geotile.ops.tiles import ImageDecodeStage, ImageResizeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(256)
     resized = ds.map_batches(
@@ -1454,7 +1460,7 @@ def q_image_resize(sf_dir: str):
 
 
 def q_image_embeddings(sf_dir: str):
-    from geotile.ops.tiles import ImageEmbedStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(512)
     out = ds.map_batches(
@@ -1476,7 +1482,7 @@ def q_image_embeddings(sf_dir: str):
 
 
 def q_embedding_buckets(sf_dir: str):
-    from geotile.ops.ann import hyperplane_buckets
+    from battery.ops.ann import hyperplane_buckets
 
     ds = hyperplane_buckets(_read(sf_dir, "embeddings", ["vec_id", "embedding"]), n_planes=8)
     out = ds.groupby("bucket").count()
@@ -1542,7 +1548,7 @@ def q_asof_clicks_views(sf_dir: str):
     earlier view event of the same user (hash-co-partitioned
     merge_asof — relational.asof_join); clicks with no prior view are
     dropped so the output is null-free for the driver hash."""
-    from geotile.ops.relational import asof_join
+    from battery.ops.relational import asof_join
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
@@ -1578,7 +1584,7 @@ def q_jaccard_pairs_docs(sf_dir: str):
     """EXACT word-4-gram Jaccard set-similarity join at tau = 1/2
     (prefix-filtered PPJoin — dedup.ngram_jaccard_pairs); integer
     inter/union counts so the SQL replay is bit-deterministic."""
-    from geotile.ops.dedup import ngram_jaccard_pairs
+    from battery.ops.dedup import ngram_jaccard_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return ngram_jaccard_pairs(docs, k=4, tau_num=1, tau_den=2)
@@ -1629,7 +1635,7 @@ def q_followup_events(sf_dir: str):
     (n_follow, min_gap_us); 1-hour band. Completes the custom-operator trio the
     engine adds over Ray Data's joins: as-of (1-to-1 latest), windowed
     aggregate, band range join (1-to-many)."""
-    from geotile.ops.relational import band_join
+    from battery.ops.relational import band_join
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     clicks = ev.map_batches(
@@ -1677,7 +1683,7 @@ def q_tfidf_docs(sf_dir: str):
     (df >= 2) vocabulary broadcasts Heaps'-law small and the scoring /
     per-doc top-k pass is batch-local. IDF is the log-free rational
     variant (1e6 * N) // df so scores are exact int64 on both engines."""
-    from geotile.ops.text import tfidf_top_terms
+    from battery.ops.text import tfidf_top_terms
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return tfidf_top_terms(docs, k=5)
@@ -1689,7 +1695,7 @@ def q_dup_span_docs(sf_dir: str):
     the exact-substring-dedup signal (Lee et al.): distinct-gram
     postings → gram-bucket co-partition (df + per-doc partials in one
     vectorized pass) → doc-scale sum."""
-    from geotile.ops.dedup import dup_ngram_spans
+    from battery.ops.dedup import dup_ngram_spans
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return dup_ngram_spans(docs, k=8)
@@ -1702,7 +1708,7 @@ def q_rolling_window_user(sf_dir: str):
     event_id). Values quantized to an e4 integer lattice BEFORE the
     rolling sum so prefix-sum association is exact (float rolling sums
     are association-sensitive)."""
-    from geotile.ops.relational import grouped_rolling
+    from battery.ops.relational import grouped_rolling
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -1739,7 +1745,7 @@ def q_full_outer_customer_orders(sf_dir: str):
     how='outer'): per-custkey open-order counts vs finished-order
     counts — custkeys with only one status survive from either side
     (nulls coalesced to 0 for the hash gate)."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
 
@@ -1793,7 +1799,7 @@ def q_rollup_docs(sf_dir: str):
     (relational.rollup_aggregate): the per-batch combiner derives every
     rollup level from the detail PARTIALS, so rows are read once and
     the single shuffle moves (levels x groups) partial rows."""
-    from geotile.ops.relational import rollup_aggregate
+    from battery.ops.relational import rollup_aggregate
 
     docs = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
     return rollup_aggregate(docs, keys=["lang", "source"], sum_col="n_chars")
@@ -1949,7 +1955,7 @@ def q_ntile_events(sf_dir: str):
     """ntile(4) rank bucketing per user (relational.grouped_ntile) —
     completes the window-function family (tumbling/sliding time
     windows, ROWS-frame rolling, lag, row_number-style top-k, ntile)."""
-    from geotile.ops.relational import grouped_ntile
+    from battery.ops.relational import grouped_ntile
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
     out = grouped_ntile(ev, key="user_id", order_cols=["ts", "event_id"], n_tiles=4)
@@ -2046,7 +2052,7 @@ def q_right_join_orders_customer(sf_dir: str):
     (Dimension-side broadcast would also work at this cardinality; the
     query exists to drive bucketed_join's right-outer path, the
     both-sides-large form.)"""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -2087,7 +2093,7 @@ def q_funnel_users(sf_dir: str):
     vectorized pass — per-stage min-reduce via np.minimum.at, next
     stage filtered by the previous stage's per-user time. No per-user
     Python, no window sort."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     STAGES = ("view", "click", "purchase")
@@ -2134,7 +2140,7 @@ def q_quantiles_cont_events(sf_dir: str):
     quantiles_cont): bracketing order statistics + exact rational
     fraction (the float interpolation itself is a scalar epilogue, kept
     out of the compared columns so both engines stay bit-exact)."""
-    from geotile.ops.quantile import quantiles_cont
+    from battery.ops.quantile import quantiles_cont
 
     ev = _read(sf_dir, "events", ["value"])
     return quantiles_cont(ev, "value", q_pcts=(50, 90), max_pull=2000)
@@ -2148,7 +2154,7 @@ def q_phash_neighbor_stats(sf_dir: str):
     to the near-dup DEGREE HISTOGRAM (n_neighbors -> n_images). The
     bytes column never leaves storage — the read prunes to
     (image_id, phash)."""
-    from geotile.ops.dedup import hamming_pairs
+    from battery.ops.dedup import hamming_pairs
     from geotile.ops.tiles import read_image_table
     from geotile.synth import image_index
 
@@ -2196,7 +2202,7 @@ def q_grouped_quantiles_events(sf_dir: str):
     grouped variant of the histogram-refinement selection (ops/
     quantile.grouped_quantiles): one streaming pass per round covers
     every group, no per-group sort, no all-to-all."""
-    from geotile.ops.quantile import grouped_quantiles
+    from battery.ops.quantile import grouped_quantiles
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
     return grouped_quantiles(
@@ -2248,8 +2254,8 @@ def q_dup_clusters_embeddings(sf_dir: str):
     connected_components, hash-to-min + pointer jumping). Output
     (node, cluster_id = min vec_id in component) — the canonical-
     representative election every dedup pipeline ends with."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import connected_components
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35
@@ -2267,7 +2273,7 @@ def q_quantiles_events(sf_dir: str):
     """Exact p25/p50/p75/p95/p99 of events.value via iterative histogram
     refinement (ops/quantile.exact_quantiles) — no global sort; the
     selected elements are bit-identical to a rank-based SQL replay."""
-    from geotile.ops.quantile import exact_quantiles
+    from battery.ops.quantile import exact_quantiles
 
     ev = _read(sf_dir, "events", ["value"])
     return exact_quantiles(ev, "value", max_pull=2000)
@@ -2287,7 +2293,7 @@ def q_cohort_retention_users(sf_dir: str):
     groupby sums the per-bucket partials. The classic two-pass
     first-touch + self-join collapses to a single shuffle because each
     user's rows are co-located."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
     out_cols = ["cohort_week", "week_offset", "n_users"]
@@ -2332,7 +2338,7 @@ def q_transition_counts_events(sf_dir: str):
     compare builds every adjacent pair, np.unique over packed type
     codes counts them — no window function, no per-user Python. Final
     groupby is type-pair cardinality (~tens of rows)."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     out_cols = ["prev_type", "next_type", "n"]
@@ -2380,7 +2386,7 @@ def q_mode_event_type_user(sf_dir: str):
     one co-partition shuffle of partials, then a vectorized per-bucket
     argmax (np.bincount sum + np.maximum.at max + np.minimum.at
     tie-break). Nothing per-user runs in Python."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -2448,7 +2454,7 @@ def q_cube_docs(sf_dir: str):
     lang-only, source-only, grand total) from one streaming pass
     (relational.cube_aggregate); ``gid`` replays SQL's
     grouping(lang) + 2*grouping(source)."""
-    from geotile.ops.relational import cube_aggregate
+    from battery.ops.relational import cube_aggregate
 
     docs = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
     return cube_aggregate(docs, keys=["lang", "source"], sum_col="n_chars")
@@ -2462,7 +2468,7 @@ def q_skyline_orders(sf_dir: str):
     then one tiny final pass — the SQL replay is the quadratic
     NOT EXISTS dominance test; the engine does it in
     O(n log n) + O(frontier)."""
-    from geotile.ops.relational import skyline
+    from battery.ops.relational import skyline
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"])
 
@@ -2537,7 +2543,7 @@ def q_event_gap_stats_user(sf_dir: str):
     three bincount/maximum.at reduces — no window function, no per-user
     Python. Users with a single event drop out (no gap), matching the
     oracle's WHERE pt IS NOT NULL."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
     out_cols = ["user_id", "n_gaps", "max_gap_us", "sum_gap_us"]
@@ -2594,7 +2600,7 @@ def q_last_event_user(sf_dir: str):
     Per-batch partial argmax first (the shuffle moves at most one row
     per user per batch, not the event stream), then the same vectorized
     run-tail select per co-partitioned bucket."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
@@ -2657,7 +2663,7 @@ def q_type_cooccurrence_users(sf_dir: str):
     masks, never from user rows. Requires < 64 distinct types — the
     documented assumption of the bitmask path (wider vocabularies
     would shard the mask)."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -2720,8 +2726,8 @@ def q_pagerank_dups(sf_dir: str):
     which duplicate is the best canonical representative. Bit-exact SQL
     replay via three chained CTEs (floor division per source, integer
     sums — no float summation order anywhere)."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import pagerank_int
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import pagerank_int
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35
@@ -2961,7 +2967,7 @@ def q_kmeans_embeddings(sf_dir: str):
     SQL replay (with the positive-mod floordiv identity — DuckDB //
     truncates, numpy floors) matches bit-for-bit. The driver holds only
     the k×d centroid matrix, never vector data."""
-    from geotile.ops.ann import kmeans_lloyd
+    from battery.ops.ann import kmeans_lloyd
 
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return kmeans_lloyd(emb, k=8, iters=2)
@@ -3027,7 +3033,7 @@ def q_mad_events(sf_dir: str):
     same rank selection over |v − med|. Both selected values are real
     elements of deterministic float64 expressions, so the SQL replay is
     bit-exact — no interpolation anywhere."""
-    from geotile.ops.quantile import grouped_quantiles
+    from battery.ops.quantile import grouped_quantiles
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
     # max_pull trades streaming passes for a bounded driver pull: MAD
@@ -3079,7 +3085,7 @@ def q_throttled_events(sf_dir: str):
     user; per bucket a single lexsort + shifted compare decides every
     row. (Unlike sessionization this emits the surviving ROWS, not
     session aggregates.)"""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     out_cols = ["event_id", "user_id", "event_type", "ts_us"]
@@ -3128,9 +3134,9 @@ def q_dedup_keep_canonical(sf_dir: str):
     generation → connected components → size-guarded anti-join back to
     the corpus; the corpus never shuffles — only the (small) dup-node
     id set moves."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import connected_components
-    from geotile.ops.relational import anti_join
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import connected_components
+    from battery.ops.relational import anti_join
 
     ids = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     pairs = embedding_dup_pairs(ids, tau=0.35)
@@ -3157,7 +3163,7 @@ def q_union_by_name_orders(sf_dir: str):
     side lacks (relational.union_by_name — the Dataset API's union
     requires identical schemas). Nulls are COALESCE-filled to sentinels
     in the output so the driver's value hash is null-free."""
-    from geotile.ops.relational import union_by_name
+    from battery.ops.relational import union_by_name
 
     f = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus", "o_totalprice"])
     o = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus", "o_orderpriority"])
@@ -3198,7 +3204,7 @@ def q_grouping_sets_docs(sf_dir: str):
     generalization of CUBE/ROLLUP on the same one-pass combiner
     (relational.cube_aggregate with ``sets``): both summaries from one
     read, gid keeping SQL's bitmask convention."""
-    from geotile.ops.relational import cube_aggregate
+    from battery.ops.relational import cube_aggregate
 
     docs = _read(sf_dir, "documents", ["lang", "source", "n_chars"])
     return cube_aggregate(
@@ -3214,7 +3220,7 @@ def q_percent_rank_events(sf_dir: str):
     float division is an epilogue outside the compared columns). One
     co-partition by user; ranks fall out of one (user, value) lexsort —
     tie runs inherit their first row's rank via a run-start gather."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "value"])
     out_cols = ["event_id", "pr_num", "pr_den"]
@@ -3310,7 +3316,7 @@ def q_cm_user_counts(sf_dir: str):
     Deterministic fixed-seed hashing makes est bit-reproducible; the
     oracle replays it with a pure-int scalar sidecar
     (oracle_ref.cm_estimates_ref)."""
-    from geotile.ops.sketch import cm_estimate, cm_sketch
+    from battery.ops.sketch import cm_estimate, cm_sketch
 
     ev = _read(sf_dir, "events", ["user_id"])
     grid = cm_sketch(ev, "user_id")
@@ -3475,7 +3481,7 @@ def q_user_sequence_strings(sf_dir: str):
     builds per-user runs, the ≤10-prefix mask is run arithmetic, and
     the string assembly is ONE Arrow ``binary_join`` over a ListArray —
     no per-user Python string work."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     LIMIT = 10
@@ -3522,7 +3528,7 @@ def q_winsorized_stats_events(sf_dir: str):
     pass — counts of clipped tails are integers and the clipped sum
     lands on the e4 lattice per element, so the SQL replay (rank-select
     CTE + LEAST/GREATEST) matches bit-for-bit."""
-    from geotile.ops.quantile import exact_quantiles
+    from battery.ops.quantile import exact_quantiles
 
     ev = _read(sf_dir, "events", ["value"])
     qt = exact_quantiles(ev, "value", q_pcts=(5, 95), max_pull=50_000)
@@ -3559,7 +3565,7 @@ def q_winsorized_stats_events(sf_dir: str):
 
 def _semi_lookup_join(fact, fact_key, dim, dim_key, dim_val, out_key):
     """lookup_join then project to (out_key, dim_val)."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     j = lookup_join(fact, fact_key, dim, dim_key, dim_val)
     return j.map_batches(
@@ -3580,7 +3586,7 @@ def q_region_revenue(sf_dir: str):
     10^12-row path, where customer no longer broadcasts). Revenue lands
     on the e4 lattice PER ELEMENT before any summation, so join order
     and summation order can never shift the driver hash."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     nat = {r["n_nationkey"]: r["n_regionkey"]
            for r in _read(sf_dir, "nation").take_all()}
@@ -4836,7 +4842,7 @@ def _oracle_planes_path() -> str:
     """Sidecar: the hyperplane_buckets random planes (seed 7, n_planes=8,
     embedding dim from the testdata schema) so the bucket assignment is
     SQL-expressible via list_dot_product. Content-keyed on ann.py."""
-    import geotile.ops.ann as _ann
+    import battery.ops.ann as _ann
 
     p = _oracle_cache_dir() / f"oracle_hyperplanes_{_mods_digest(_ann)}.parquet"
     if not p.exists():
@@ -4919,7 +4925,7 @@ def _sql_list(words) -> str:
 
 
 def _lang_id_sql() -> str:
-    from geotile.ops.text import _LANG_MARKERS
+    from battery.ops.text import _LANG_MARKERS
 
     en, es, fr, de = (_sql_list(_LANG_MARKERS[k]) for k in ("en", "es", "fr", "de"))
     return f"""
@@ -4950,7 +4956,7 @@ def _lang_id_sql() -> str:
 
 # ---------------------------------------------------------------------------
 # hash-family oracle sidecars: INDEPENDENT scalar-Python replays
-# (geotile/oracle_ref.py — pure-int arithmetic, no numpy data path) so a
+# (battery/oracle_ref.py — pure-int arithmetic, no numpy data path) so a
 # vectorization bug in ops/hashing/dedup/sketch cannot hide in the oracle
 # ---------------------------------------------------------------------------
 
@@ -4965,7 +4971,7 @@ def _read_docs(sf_dir: str) -> list[tuple[int, str]]:
 def _ref_sidecar(sf_dir: str, name: str, build) -> str:
     """Cached scalar-replay sidecar under GEOTILE_CACHE, content-keyed
     on oracle_ref.py (ADVICE r2: existence-keyed sidecars go stale)."""
-    import geotile.oracle_ref as _ref
+    import battery.oracle_ref as _ref
     from pathlib import Path
 
     sf = Path(sf_dir).name
@@ -4983,7 +4989,7 @@ def _u2i(v: int) -> int:
 
 
 def _fingerprint_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import fingerprint
+    from battery.oracle_ref import fingerprint
 
     def build() -> pa.Table:
         docs = _read_docs(sf_dir)
@@ -4999,7 +5005,7 @@ def _fingerprint_sidecar(sf_dir: str) -> str:
 
 
 def _simhash_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import simhash
+    from battery.oracle_ref import simhash
 
     def build() -> pa.Table:
         docs = _read_docs(sf_dir)
@@ -5015,7 +5021,7 @@ def _simhash_sidecar(sf_dir: str) -> str:
 
 
 def _simhash_pairs_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import simhash_pairs_ref
+    from battery.oracle_ref import simhash_pairs_ref
 
     def build() -> pa.Table:
         pairs = simhash_pairs_ref(_read_docs(sf_dir), max_hamming=4)
@@ -5037,7 +5043,7 @@ def _simhash_pairs_sql(sf_dir: str) -> str:
 
 
 def _minhash_pairs_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import minhash_lsh_pairs_ref
+    from battery.oracle_ref import minhash_lsh_pairs_ref
 
     def build() -> pa.Table:
         pairs = minhash_lsh_pairs_ref(_read_docs(sf_dir), threshold=0.35)
@@ -5056,7 +5062,7 @@ def _minhash_pairs_sidecar(sf_dir: str) -> str:
 
 
 def _hll_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import hll_estimate_ref
+    from battery.oracle_ref import hll_estimate_ref
 
     def build() -> pa.Table:
         import pyarrow.parquet as pq
@@ -5072,7 +5078,7 @@ def _hll_sidecar(sf_dir: str) -> str:
 
 
 def _hll_grouped_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import hll_estimate_ref
+    from battery.oracle_ref import hll_estimate_ref
 
     def build() -> pa.Table:
         import pyarrow.parquet as pq
@@ -5177,7 +5183,7 @@ def q_tile_covered_cells(sf_dir: str):
     dissolve operator's raster input set, exposed for the driver's
     correctness gate (the dissolve polygons themselves are checked
     against the in-memory trace in tests/test_join.py)."""
-    from geotile.ops.join import DEFAULT_JOIN_RES, _footprint_cells
+    from geotile.ops.join import DEFAULT_JOIN_RES
     from geotile.ops.tiles import JOIN_COLUMNS, read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir), columns=JOIN_COLUMNS)
@@ -5284,7 +5290,7 @@ def _tile_dissolve_sql(img: str) -> str:
 
 
 def _cm_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import cm_estimates_ref
+    from battery.oracle_ref import cm_estimates_ref
     import pyarrow.parquet as pq
 
     def build() -> pa.Table:
@@ -5822,7 +5828,7 @@ def _gtfs_stop_features_sql() -> str:
 # ---------------------------------------------------------------------------
 
 def q_bloom_semi_join_lineitem(sf_dir: str):
-    """EXACT semi-join via a Bloom prefilter (geotile/ops/bloom.py):
+    """EXACT semi-join via a Bloom prefilter (battery/ops/bloom.py):
     lineitems whose order is URGENT. The distributed-built 10-bit/key
     filter (constant-size partial bitmaps, driver OR is filter-scale)
     broadcasts at 1.25 bytes/key — 6.4× smaller than a raw int64
@@ -5830,7 +5836,7 @@ def q_bloom_semi_join_lineitem(sf_dir: str):
     hash-bucketed verify join, so the shuffle carries survivors only.
     Bloom has no false negatives and the verify is exact, hence the
     plain IN-subquery SQL replay."""
-    from geotile.ops.bloom import bloom_semi_join
+    from battery.ops.bloom import bloom_semi_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity", "l_returnflag"])
     keys = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]).map_batches(
@@ -6045,8 +6051,8 @@ def q_triangle_dups(sf_dir: str):
     broadcast) over the embedding near-dup pair graph: triangle density
     distinguishes tight dup clusters from chains of borderline pairs.
     SQL replay = canonical 3-way self-join on the a<b pair list."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import triangle_count
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import triangle_count
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35
@@ -6080,8 +6086,8 @@ def q_bfs_dups(sf_dir: str):
     Every round is a size-guarded semi-join (frontier) + anti-join
     (visited) over the materialized edge list; no frontier row lands
     on the driver. SQL replay = three chained level CTEs."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import bfs_levels
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import bfs_levels
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35
@@ -6208,8 +6214,8 @@ def q_image_dup_clusters(sf_dir: str):
     bytes column never leaves storage (read prunes to image_id/phash);
     int ids come from the zero-padded id suffix so the SQL replay
     parses the same integers."""
-    from geotile.ops.dedup import hamming_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import hamming_pairs
+    from battery.ops.graph import connected_components
     from geotile.ops.tiles import read_image_table
     from geotile.synth import image_index
 

@@ -43,6 +43,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageGlcmStage, ImagePatchStage
+
 from .b01_core import (
     _dim_np,
     ORACLE_SQL,
@@ -117,8 +119,8 @@ def q_spatial_dbscan_events(sf_dir: str):
     label lookup) runs at grid-resolution scale, independent of row
     count — the property that makes grid clustering the 100-TB
     substitute for point-pair DBSCAN."""
-    from geotile.ops.graph import connected_components
-    from geotile.ops.relational import anti_join, lookup_join, semi_join
+    from battery.ops.graph import connected_components
+    from battery.ops.relational import anti_join, lookup_join, semi_join
 
     ev = _read(sf_dir, "events", ["event_id"])
 
@@ -232,7 +234,7 @@ def q_range_window_events(sf_dir: str):
     (peers at the same timestamp share one frame, exactly SQL's RANGE
     semantics). Values on the e4 integer lattice so the prefix-sum
     difference replays bit-exactly."""
-    from geotile.ops.relational import grouped_range_rolling
+    from battery.ops.relational import grouped_range_rolling
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     HOUR_US = 3_600_000_000
@@ -287,7 +289,7 @@ def q_above_avg_orders(sf_dir: str):
     fact-side shuffle — and the filter compares the exact integer
     rational 2·price·n > 3·sum (no float division anywhere, so the
     threshold can't flip on summation order)."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -362,7 +364,7 @@ def q_streaks_users(sf_dir: str):
     reduceat). Reference parity: the dedup-then-order family of
     gtfs-to-geojson's stop-sequence handling (SURVEY O1/D2), lifted to
     the time axis."""
-    from geotile.ops.relational import grouped_islands
+    from battery.ops.relational import grouped_islands
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -460,7 +462,7 @@ def q_snapshot_diff_orders(sf_dir: str):
     side, a single vectorized sorted-composite classify per bucket
     (no pandas merge), output at change-cardinality with -1 sentinels
     keeping the value columns non-nullable."""
-    from geotile.ops.relational import snapshot_diff
+    from battery.ops.relational import snapshot_diff
 
     def snap(which: str):
         def fn(t: pa.Table) -> pa.Table:
@@ -522,7 +524,7 @@ def q_profile_orders(sf_dir: str):
     per-batch Arrow dedup bounds the one shuffle by distinct values;
     floats profile on the cents lattice, timestamps as epoch-µs, so
     every cell is exact against the SQL replay."""
-    from geotile.ops.profile import profile_dataset
+    from battery.ops.profile import profile_dataset
 
     ds = _read(sf_dir, "orders")
     return profile_dataset(ds, {
@@ -641,7 +643,7 @@ def q_revenue_deciles(sf_dir: str):
     order-aligned coarse bucket (cents >> 16), a driver exclusive scan
     over bucket counts, one co-partition pass lexsorting each bucket
     from its broadcast base offset — and a decile-scale final sum."""
-    from geotile.ops.relational import global_row_number
+    from battery.ops.relational import global_row_number
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -706,7 +708,7 @@ def q_fuzzy_token_pairs_docs(sf_dir: str):
     variant runs, pair-string dedup, exact DP verify at candidate
     scale. The oracle replays with DuckDB's levenshtein over the
     distinct-token self-join."""
-    from geotile.ops.fuzzy import fuzzy_token_pairs
+    from battery.ops.fuzzy import fuzzy_token_pairs
 
     return fuzzy_token_pairs(_read(sf_dir, "documents", ["text"]),
                              max_d=2)
@@ -740,7 +742,7 @@ def q_session_concurrency_events(sf_dir: str):
     (per-bucket delta sums, driver exclusive scan, per-bucket cumsum
     from broadcast bases, bucket-cardinality final reduce). Per-ts
     delta grouping makes equal-time starts/ends tie-break-free."""
-    from geotile.ops.relational import (interval_max_concurrency,
+    from battery.ops.relational import (interval_max_concurrency,
                                         session_intervals)
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
@@ -835,7 +837,7 @@ def q_running_revenue_orders(sf_dir: str):
     clamped to run starts — unbounded is the frame=infinity special
     case of the ROWS-frame family). Exact-integer cents lattice so the
     cumulative sum is association-order-proof."""
-    from geotile.ops.relational import grouped_rolling
+    from battery.ops.relational import grouped_rolling
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice",
@@ -886,7 +888,7 @@ def q_session_stats_users(sf_dir: str):
     relational.session_intervals (one co-partition, vectorized
     lexsort/reduceat pass emitting per-session rows with n_rows), then
     a per-batch Arrow partial and a session-size-scale groupby."""
-    from geotile.ops.relational import session_intervals
+    from battery.ops.relational import session_intervals
 
     iv = session_intervals(_read(sf_dir, "events", ["user_id", "ts"]))
 
@@ -937,7 +939,7 @@ def q_upsert_orders(sf_dir: str):
     relational.upsert_merge: one co-partition per side, winners
     resolved in one vectorized lexsort keep-last pass (no pandas
     merge), with a one-row-per-key-per-side contract assert."""
-    from geotile.ops.relational import upsert_merge
+    from battery.ops.relational import upsert_merge
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderstatus", "o_totalprice"])
@@ -1066,7 +1068,7 @@ def q_dense_rank_orders(sf_dir: str):
     then each bucket group ranks ALL its keys in a single vectorized
     pass: lexsort by (key, cents desc), distinct-value cumsum reset at
     run starts. No global sort, no per-key Python."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"])
@@ -1334,7 +1336,7 @@ def q_weekly_type_wow(sf_dir: str):
     vocabulary asserted), one pair-cardinality groupby, then the LAG
     runs INSIDE one tiny aggregate-scale task via the co-partitioned
     grouped_rolling lag path."""
-    from geotile.ops.relational import grouped_rolling
+    from battery.ops.relational import grouped_rolling
 
     ev = _read(sf_dir, "events", ["event_type", "ts"])
     types = pa.array(["click", "error", "purchase", "signup", "view"])
@@ -1404,7 +1406,7 @@ def q_image_patch_sums(sf_dir: str):
     two reduceat passes per size group — no per-pixel Python. Oracle:
     generator-replay sidecar rebuilt from synth.pixel_pattern with an
     independent inclusion-exclusion prefix-sum kernel."""
-    from geotile.ops.tiles import ImagePatchStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(512)
     return ds.map_batches(
@@ -1755,7 +1757,7 @@ def q_type_trigrams_users(sf_dir: str):
     pass (lexsort by (user, ts, event_id), two shifted views masked at
     run starts, packed 3-digit base-5 type codes), then a
     125-cardinality count shuffle."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id",
                                   "event_type"])
@@ -1834,7 +1836,7 @@ def q_llm_corpus_prep(sf_dir: str):
     tokens; (3) contiguous 20k-char shard packing via the two-pass
     distributed exclusive prefix sum. Output: per shard, doc count and
     char mass. The oracle replays the whole chain as nested CTEs."""
-    from geotile.ops.hashing import hash_strings
+    from battery.ops.hashing import hash_strings
 
     docs = _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
@@ -2031,7 +2033,7 @@ def q_regex_tokens_docs(sf_dir: str):
     only runs findall (the stateful-stage pattern, SURVEY §2.8).
     Oracle: DuckDB regexp_extract_all over the same pure
     character-class patterns (re and RE2 agree on these)."""
-    from geotile.ops.text import RegexTokenizerStage
+    from battery.ops.text import RegexTokenizerStage
 
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         RegexTokenizerStage, batch_format="pyarrow", batch_size=512,
@@ -2311,7 +2313,7 @@ def q_daily_churn_users(sf_dir: str):
     partial, one co-partition on user, a single vectorized pass per
     bucket group (island ends via np.diff over the sorted dedup'd
     composite), then a day-scale count."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -2431,7 +2433,7 @@ def q_anomaly_counts_users(sf_dir: str):
     ONE vectorized pass per bucket group (lexsort, per-run rank pick,
     reduceat count) — the per-user contract is only that one user's
     rows fit one bucket task."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "value"])
 
@@ -2482,7 +2484,7 @@ def q_drawdown_users(sf_dir: str):
     window family the rolling SUMs don't cover. One co-partition on
     user, np.maximum.accumulate per run (reset at run starts by
     substituting −∞ at each first row), e4 lattice end to end."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -2543,7 +2545,7 @@ def q_rolling_distinct_types(sf_dir: str):
     shifted views of the per-row type bit, run-start masked, one
     popcount — fully vectorized in the per-bucket pass, no per-row
     set structure."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type"])
@@ -2610,7 +2612,7 @@ def q_decay_score_users(sf_dir: str):
     horizon keeps the driver hash bit-stable). Vectorized as ten
     run-masked shifted adds in one co-partition pass; the SQL replay
     writes the same ten LAG terms explicitly."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -2807,7 +2809,7 @@ def q_locf_events(sf_dir: str):
     marker = position where purchase else −1, grouped cummax (pandas
     C path, resets per user run), then one gather. The SQL replay
     uses LAST_VALUE ... IGNORE NULLS."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type", "value"])
@@ -2876,7 +2878,7 @@ def q_clamped_balance_users(sf_dir: str):
     co-partition instead of a sequential loop; the SQL replay computes
     the same closed form from two stacked window passes — both sides
     exact int64 on the e4 lattice."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -2944,7 +2946,7 @@ def q_posting_lists_embeddings(sf_dir: str):
     em = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def partial(t: pa.Table) -> pa.Table:
-        from geotile.ops.ann import _emb_matrix
+        from battery.ops.ann import _emb_matrix
         arr = _emb_matrix(t)
         q = np.trunc(arr * 10000.0).astype(np.int64)
         mask = q >= 2500
@@ -2985,7 +2987,7 @@ def q_shipping_priority_q3(sf_dir: str):
     fact-scale — with predicates applied before each shuffle so only
     qualifying rows move. Revenue on the per-element e4 lattice BEFORE
     summation; top-k via per-block partials, never a global sort."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     CUT = np.datetime64("1996-06-01", "us")
 
@@ -3071,7 +3073,7 @@ def q_revenue_share_nations(sf_dir: str):
     (25-row) driver epilogue, so no second pass over the facts."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    from geotile.ops.relational import dim_lookup
+    from battery.ops.relational import dim_lookup
 
     ck, cnat = _dim_np(sf_dir, "customer", "c_custkey", ["c_nationkey"])
     nk, nname = _dim_np(sf_dir, "nation", "n_nationkey", ["n_name"])
@@ -3131,7 +3133,7 @@ def q_monotone_run_users(sf_dir: str):
     bincount, per-user max over islands at island cardinality. The
     calendar-streak operator counts day gaps; this one is ordered on
     event time and cuts on the VALUE sequence."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -3261,7 +3263,7 @@ def q_scd2_orders(sf_dir: str):
     One co-partition pass: shifted-view change detection, then the
     next-change day gathered by one roll of the change-row subset —
     no LEAD materialization over the full fact."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate",
@@ -3337,7 +3339,7 @@ def q_gap_filled_daily_users(sf_dir: str):
     explosion (repeat + cumsum-arange) and the searchsorted zero-fill
     merge run inside the per-bucket pass, so fan-out stays bounded by
     each user's own span."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -3501,7 +3503,7 @@ def q_rebase_index_users(sf_dir: str):
     base-100-style normalization comparative series need. The first
     value is gathered once per run (run-start positions broadcast by
     segment id), no expanding window."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -3625,7 +3627,7 @@ def q_nation_pair_revenue(sf_dir: str):
     100 TB). Revenue on the per-element e4 lattice before summation;
     partials are bounded by 25×25×years so the final shuffle is
     trivial."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -3682,7 +3684,7 @@ def q_nation_pair_revenue(sf_dir: str):
     def attach(t: pa.Table) -> pa.Table:
         # VERIFIED gathers: a nationkey absent from the nation dim
         # drops the row, matching the oracle's two inner nation JOINs
-        from geotile.ops.relational import dim_lookup
+        from battery.ops.relational import dim_lookup
 
         _, _, nk_, names_ = _broadcast(dim_ref)
         si, sh = dim_lookup(nk_, t["snat"].to_numpy()
@@ -3729,7 +3731,7 @@ def q_custdist_orders(sf_dir: str):
     join from customer so missing keys surface as NaN → 0, and a
     count-cardinality histogram (the second aggregation is over
     order-count values, a few dozen rows at any scale)."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
@@ -3798,7 +3800,7 @@ def q_promo_session_overlap(sf_dir: str):
     relational.session_intervals (one co-partition). Distinct users
     per window via (window, user) dedup partials — cardinality is
     bounded by 10× users, then a 10-row epilogue."""
-    from geotile.ops.relational import session_intervals
+    from battery.ops.relational import session_intervals
 
     iv = session_intervals(_read(sf_dir, "events", ["user_id", "ts"]))
     wa = np.array([a for _, a, _ in _PROMO_WINDOWS], dtype=np.int64)
@@ -3867,7 +3869,7 @@ def q_spearman_users(sf_dir: str):
     per-user loop). rho_ppm = floor(num·10⁶/den + 0.5) evaluated in
     IEEE doubles with the identical op order as the SQL replay, so
     the hash matches bit-for-bit even where the product exceeds 2⁵³."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -4047,7 +4049,7 @@ def q_twap_users(sf_dir: str):
     (run-boundary masked), weighted sums via reduceat on the exact
     cents×µs integer lattice (≤ 2⁶³ by domain bound). The LEAD window
     never materializes per-row next-event columns into a shuffle."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -4240,7 +4242,7 @@ def q_pattern_triples_users(sf_dir: str):
     then the whole bucket's pattern scan is two shifted compares over
     the lexsorted type-code array with run-boundary masking — the
     two-LAG window replay without materializing lag columns."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
@@ -4383,7 +4385,7 @@ def q_dominant_supplier_parts(sf_dir: str):
     → pair-cardinality groupby, then ONE part-bucket co-partition
     resolves every part's argmax + tie flag in a single lexsort pass
     — no join back, and only supplier-cardinality partials leave."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_quantity"])
@@ -4575,7 +4577,7 @@ def q_image_glcm_energy(sf_dir: str):
     over image-offset-packed pair codes; every value is integer, so
     the generator-replay sidecar (different kernel: per-column add.at
     over pixel_pattern ground truth) matches exactly."""
-    from geotile.ops.tiles import ImageGlcmStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
     return ds.map_batches(
@@ -4663,7 +4665,7 @@ def q_audio_frame_energy(sf_dir: str):
     audio feature pipeline, run as an actor-pool stage over opaque
     binary payloads + typed metadata (ops/audio.py; unsupported
     codecs raise NotImplementedError by design in this container)."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
     return ds.map_batches(
@@ -4824,7 +4826,7 @@ def q_attribution_lasttouch(sf_dir: str):
     maximum.accumulate over segment-offset-shifted valid positions
     (the reset never crosses a user), then one gather + one shift —
     no per-user loop, no LAG column materialization."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
@@ -4892,7 +4894,7 @@ def q_audio_silence_runs(sf_dir: str):
     resolve in one diff pass over the row-padded flat mask (a False
     column between tracks breaks runs), maxima via np.maximum.at —
     no per-track loop. Oracle: python-int replay sidecar."""
-    from geotile.ops.audio import read_audio_table
+    from battery.ops.audio import read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -4989,7 +4991,7 @@ def q_decile_transition_users(sf_dir: str):
     user-cardinality groupby of nibble-packed codes (q1 + q2·8 —
     no join), and the 5×5 matrix falls out of code-cardinality
     partials."""
-    from geotile.ops.relational import global_row_number
+    from battery.ops.relational import global_row_number
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
 
@@ -5299,7 +5301,7 @@ def q_funnel_windowed_users(sf_dir: str):
     time domain + window, overflow-asserted), so every purchase's
     window count is two global searchsorteds over the packed view
     array — no per-user loop, no row-pair materialization."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
@@ -5369,7 +5371,7 @@ def q_bounce_rate_daily(sf_dir: str):
     and how many were single-event bounces — the engagement KPI over
     the sessionized stream. relational.session_intervals does the one
     co-partition; per-day partials are calendar-bounded."""
-    from geotile.ops.relational import session_intervals
+    from battery.ops.relational import session_intervals
 
     iv = session_intervals(_read(sf_dir, "events", ["user_id", "ts"]))
 
@@ -5856,7 +5858,7 @@ def q_ri_audit_edges(sf_dir: str):
     the helper's co-partition fallback keeps the same plan legal when
     the parent side outgrows a broadcast at 100 TB. Output is one row
     per edge with child and orphan counts."""
-    from geotile.ops.relational import anti_join
+    from battery.ops.relational import anti_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
     orders_k = _read(sf_dir, "orders", ["o_orderkey"])
@@ -6167,7 +6169,7 @@ def q_session_duration_quantiles(sf_dir: str):
     the one co-partition; the histogram partials are duration-domain
     rows; the driver scan picks index floor((n−1)·p/100) exactly as
     the SQL replay's LIMIT/OFFSET does."""
-    from geotile.ops.relational import session_intervals
+    from battery.ops.relational import session_intervals
 
     iv = session_intervals(_read(sf_dir, "events", ["user_id", "ts"]))
 
@@ -6237,7 +6239,7 @@ def q_dau_overlap_daily(sf_dir: str):
     hits in one shifted compare inside a user co-partition, and the
     per-day distinct counts ride the same dedup — the day-pair table
     is calendar-bounded."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 

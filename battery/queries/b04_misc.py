@@ -39,6 +39,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     _emb_dim_np,
@@ -83,7 +85,7 @@ def q_last_supplier_orders_q21(sf_dir: str):
     co-partition: each bucket lexsorts once, reduces to per-(order,
     supplier) max-shipdate runs, resolves the per-order strict-argmax
     with segmented maxima, and emits supplier-cardinality partials."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate"])
@@ -205,7 +207,7 @@ QUERIES["triplet_violation_labels"] = q_triplet_violation_labels
 def _triplet_sidecar(sf_dir: str) -> str:
     """Sidecar for triplet_violation_labels: the scalar replay over the
     same e6-lattice ints. Content-keyed on oracle_ref.py."""
-    import geotile.oracle_ref as _oref
+    import battery.oracle_ref as _oref
     import pyarrow.parquet as pq
     from pathlib import Path
 
@@ -308,7 +310,7 @@ def q_cheapest_supplier_parts(sf_dir: str):
     per-(part,supp) packed-key sum partials → pair-cardinality
     groupby → ONE part-bucket co-partition elects every winner →
     supplier-cardinality partials."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_quantity",
@@ -396,8 +398,8 @@ def q_dup_component_sizes(sf_dir: str):
     histogram a dedup-savings estimate reads off. Oracle: the
     recursive-CTE components replay wrapped in the same two
     aggregations."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import connected_components
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]), tau=0.35)
@@ -423,7 +425,7 @@ def q_hist_equalize_sums(sf_dir: str):
     classic contrast-stretch every vision pipeline owns. The whole
     batch's histograms come from ONE image-offset-packed bincount;
     the remap is a cumsum + gather. Python-int replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -679,9 +681,9 @@ def q_bursty_customers_nations(sf_dir: str):
     float mean). One custkey co-partition resolves every customer's
     gap stats after a single lexsort (day, orderkey LAG discipline);
     the nation rollup is a broadcast searchsorted gather."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -767,7 +769,7 @@ def q_local_clustering_dups(sf_dir: str):
     adjacency (CSR arrays) broadcasts once; each node batch counts
     its neighbours' pairwise adjacency by sorted-array intersection.
     Oracle: 3-way self-join per node."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -978,7 +980,7 @@ def q_blob_count_images(sf_dir: str):
     in the batch converge together); blob count = number of surviving
     root labels. Oracle: scalar flood-fill replay — two genuinely
     different algorithms, one answer."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1174,7 +1176,7 @@ def q_audio_onsets_tracks(sf_dir: str):
     AudioFrameStage ledger. Stage REUSE: frame energies come from the
     shared actor-pool stage; the temporal fold is one shifted compare
     per track row-group. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
     frames = ds.map_batches(AudioFrameStage, batch_format="pyarrow",
@@ -1202,7 +1204,7 @@ def q_audio_onsets_tracks(sf_dir: str):
         return pd.DataFrame({"track_id": ut, "n_onsets": n_on,
                              "first_onset": first})
 
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     out = (_with_bucket(frames, "track_id", 8)
            .groupby("bucket").map_groups(fold, batch_format="pandas")
@@ -1370,7 +1372,7 @@ QUERIES["range_density_labels"] = q_range_density_labels
 def _range_density_sidecar(sf_dir: str) -> str:
     """Sidecar for range_density_labels (scalar early-exit replay).
     Content-keyed on oracle_ref.py."""
-    import geotile.oracle_ref as _oref
+    import battery.oracle_ref as _oref
     import pyarrow.parquet as pq
     from pathlib import Path
 
@@ -1412,9 +1414,9 @@ def q_order_delta_signs(sf_dir: str):
     — are wallets trending up? Cents lattice before comparison, LAG
     discipline (day, orderkey), one custkey co-partition, broadcast
     nation gather, 25×3-bounded partials."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -1548,7 +1550,7 @@ def q_mirror_symmetry_images(sf_dir: str):
     zero means a perfectly symmetric frame, the cheap aesthetic /
     synthetic-artifact flag. One vectorized flip-diff per (w, h)
     group. Python-int replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1816,7 +1818,7 @@ def q_video_flicker_parts(sf_dir: str):
     b = Σ_px (Σ_t x)², so flicker energy = F·a − b. One stacked
     reduction per payload group (ops/video decode contract). Python-
     int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -1912,7 +1914,7 @@ def q_near_simultaneous_pairs(sf_dir: str):
     from per-type prefix sums — no pair row ever materializes. The
     (ts, event_id) order is the pair-once discipline, mirrored in the
     SQL replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
                                   "event_type"])
@@ -1993,7 +1995,7 @@ def q_reorder_after_return(sf_dir: str):
     date → orders ⋈ that (bucketed, custkey) → per-customer later
     counts → three global counters from customer-cardinality
     partials. Both joins are fact-scale co-partitions at 100 TB."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_shipdate"]) \
@@ -2071,7 +2073,7 @@ def q_early_breadth_users(sf_dir: str):
     order) — the onboarding-diversity histogram. One user
     co-partition, one lexsort; the first-5 slice and the per-user
     distinct count are both segment algebra."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
                                   "event_type"])
@@ -2136,9 +2138,9 @@ def q_nation_quartile_bands(sf_dir: str):
     below the order's cents (ties stay in the lower band). Two
     scans: one nation co-partition for boundaries, one stateless
     banding pass with 25×4 partials."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -2246,7 +2248,7 @@ def q_type_run_lengths(sf_dir: str):
     co-partition; run boundaries, lengths and all three per-type
     reductions are segment algebra after a single lexsort. Classic
     rn−rt island replay in SQL."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts",
                                   "event_type"])
@@ -2390,7 +2392,7 @@ def q_simhash_bit_bias(sf_dir: str):
     with 64 shift-and-mask reductions (64-row partials); the oracle
     replays the same bit extraction over the independent scalar
     simhash sidecar."""
-    from geotile.ops.dedup import simhash_batch
+    from battery.ops.dedup import simhash_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         simhash_batch, batch_format="pyarrow", zero_copy_batch=True)
@@ -2515,7 +2517,7 @@ def q_sessions_crossing_midnight(sf_dir: str):
     introduces. Stage reuse: ops/relational.sessionize assigns
     session ids where the user lives; per-session day extents and
     the two global counters are bounded partials."""
-    from geotile.ops.relational import sessionize
+    from battery.ops.relational import sessionize
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
     s = sessionize(ev, key="user_id", ts="ts", gap_s=1800.0)
@@ -2672,7 +2674,7 @@ def q_priority_migration_customers(sf_dir: str):
     priority vs their LAST ((day, orderkey) order) — do buyers
     escalate? One custkey co-partition, two segment-end gathers,
     25-cell partials. Double-ROW_NUMBER replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderkey", "o_orderdate",
@@ -2884,7 +2886,7 @@ def q_burst_window_max_users(sf_dir: str):
     the composite (segment << 48) + relative-ts key lets a single
     searchsorted resolve every window, window counts are index
     algebra, per-user maxima are segment maxima."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "event_id", "ts"])
     W = 60_000_000
@@ -2944,7 +2946,7 @@ def q_weak_edges_dups(sf_dir: str):
     pair, not a cluster) vs the total. Broadcast CSR adjacency;
     per-edge sorted-array intersection. Oracle: NOT-EXISTS common-
     neighbour replay over the pair list."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -3015,7 +3017,7 @@ def q_mutual_best_pairs(sf_dir: str):
     co-partition of the same pair table); mutual pairs meet in a
     driver set intersection bounded by min(parts, suppliers). Ties
     break to the smaller counterpart key. Double-ROW_NUMBER replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice"])
@@ -3102,7 +3104,7 @@ def q_cross_source_leakage(sf_dir: str):
     runs unchanged; sources attach via a broadcast sorted id→source
     gather (corpus-dim here; co-partition the pair list against
     documents at 100 TB). LEAST/GREATEST pair-once discipline."""
-    from geotile.ops.dedup import minhash_lsh_pairs
+    from battery.ops.dedup import minhash_lsh_pairs
 
     docs = _read(sf_dir, "documents", ["doc_id", "source"]).take_all()
     ids = np.array(sorted(r["doc_id"] for r in docs), np.int64)
@@ -3214,7 +3216,7 @@ def q_closest_pair_tiles(sf_dir: str):
     loop); at 100 TB the cell scatter runs directly over the read and
     the per-cell stage holds only its 3×3 neighbourhood. SQL replays
     the same quantized join."""
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
     from geotile.ops.tiles import read_image_table
 
     G = 0.01
@@ -3396,8 +3398,8 @@ def q_audio_loudest_window(sf_dir: str):
     44.1 kHz) with its earliest start frame — highlight extraction.
     Stage reuse + one cumsum sliding window per track row-group.
     Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.relational import _with_bucket
 
     WIN = 43
     ds = read_audio_table(_audio_dir_for(sf_dir))
@@ -3493,9 +3495,9 @@ def q_gmd_nations(sf_dir: str):
     O(n²) join. Broadcast custkey→nation map; one nation co-partition
     holds each nation's cents whole, the weighted sum is int64 index
     algebra. ROW_NUMBER replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -3578,7 +3580,7 @@ def q_interval_merge_users(sf_dir: str):
     operator. Equal-width intervals make merged ends monotone within
     the per-user ts sort, so island breaks are one diff and coverage
     is first/last index algebra per island. LAG + island-sum replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     W = 300_000_000
     ev = _read(sf_dir, "events", ["user_id", "ts"])
@@ -3655,7 +3657,7 @@ def q_otsu_threshold_images(sf_dir: str):
     cumulative counts and the int64 numerators are fully vectorized
     per (w, h) group; only the 255-step argmax runs per image.
     Fraction-replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3789,7 +3791,7 @@ def q_kcore_dups(sf_dir: str):
     arrays with vectorized batch removal (bincount degree decrements
     per round). Oracle: independent pure-python peeling over the SQL
     cosine-join pair list (two algorithms, one answer)."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -3949,9 +3951,9 @@ def q_mann_kendall_nations(sf_dir: str):
     one small groupby; the day series is calendar-bounded, so the
     per-nation pair scan is chunked index algebra inside a 25-group
     co-partition. Self-join sign replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -4057,7 +4059,7 @@ def q_local_supplier_volume_q5(sf_dir: str):
     orders→lineitem through the size-guarded lookup_join (broadcast at
     dim scale, bucketed co-partition past 2^20 rows). Revenue lands on
     the e4 lattice per element (region_revenue convention)."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     sk, sn_raw = _dim_np(sf_dir, "supplier", "s_suppkey",
                          ["s_nationkey"])
@@ -4155,7 +4157,7 @@ def q_audio_haar_detail_tracks(sf_dir: str):
     music/speech discriminator thresholds on. One reshape-diff-square
     per stacked batch tensor; no per-sample Python. Python-int replay
     sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -4246,7 +4248,7 @@ def q_video_quadrant_motion(sf_dir: str):
     cropping/attention stage keys on. One stacked 5-D |diff| per
     (frames, w, h) group, then four quadrant slices of the same diff
     tensor. Python-int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -4344,7 +4346,7 @@ def q_profit_by_nation_year(sf_dir: str):
     Part filter ships as a broadcast sorted keyset (dim scale);
     supplier nation folds into the same lineitem map; the order year
     rides the size-guarded lookup_join. e4 lattice per element."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     pk, pname = _dim_np(sf_dir, "part", "p_partkey", ["p_name"])
     red = pk[np.char.startswith(pname.astype(str), "red ")]
@@ -4751,7 +4753,7 @@ def q_image_haar_bands(sf_dir: str):
     fingerprint a texture or compressibility stage keys on. One
     reshape per (w, h) group; all three bands from the same block
     tensor. Python-int replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4861,7 +4863,7 @@ def q_two_hop_dups(sf_dir: str):
     dedup-output scale); each node batch unions its neighbours'
     neighbour lists with one np.unique — no per-edge Python beyond
     the gather. DISTINCT 2-path replay."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -5005,7 +5007,7 @@ def q_audio_walsh_bands(sf_dir: str):
     audio classifier bins on (Haar levels 1-2 are two of these eight
     bands; the other six are new information). One (tracks × frames
     × 8) @ H8ᵀ matmul per batch. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
     H8 = np.array([[1 if bin(i & j).count("1") % 2 == 0 else -1
@@ -5209,7 +5211,7 @@ def q_largest_blob_images(sf_dir: str):
     whole-batch min-neighbour relaxation labelling (blob_count law);
     component sizes are one bincount of converged labels per image.
     Scalar flood-fill replay."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -5352,7 +5354,7 @@ def q_supplier_breadth_customers(sf_dir: str):
     pack into one int64 key (packed-key law) for the distinct
     shuffle; per-customer counts and the final histogram are two tiny
     follow-up groupbys. DISTINCT-pair SQL replay."""
-    from geotile.ops.relational import lookup_join
+    from battery.ops.relational import lookup_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]) \
         .map_batches(lambda t: pa.table(
@@ -5423,7 +5425,7 @@ def _pair_candidate_docs(sf_dir: str, pairs_m):
     of crashing (review fix: the previous inline broadcast had no
     fallback past broadcast_dim's cap). The PAIR set never lands on
     the driver."""
-    from geotile.ops.relational import semi_join
+    from battery.ops.relational import semi_join
 
     ids_ds = pairs_m.map_batches(
         lambda t: pa.table({"doc_id": pa.array(np.unique(np.concatenate([
@@ -5440,7 +5442,7 @@ def _pair_payload_join(pairs_m, payload, n_buckets: int = 8):
     containment and sig-agreement audits. Two bucketed joins with an
     Arrow re-anchor between (pandas group outputs carry no Arrow
     schema). Returns pandas-block rows (a, b, pl_a, pl_b)."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     side_a = payload.map_batches(
         lambda t: t.rename_columns(["a_id", "pl_a"]), batch_format="pyarrow")
@@ -5478,7 +5480,7 @@ def q_containment_pairs_docs(sf_dir: str):
     co-partition against the pair list on both sides — no pair-scale
     or corpus-scale driver materialization anywhere (the r5 rewrite
     of the old take_all+broadcast form). Scalar shingle-set replay."""
-    from geotile.ops.dedup import (_shingle_flat, hashed_tokens,
+    from battery.ops.dedup import (_shingle_flat, hashed_tokens,
                                    minhash_lsh_pairs)
 
     empty = pd.DataFrame({"a": pd.Series(dtype=np.int64),
@@ -5550,7 +5552,7 @@ QUERIES["containment_pairs_docs"] = q_containment_pairs_docs
 
 
 def _containment_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import minhash_lsh_pairs_ref, shingles
+    from battery.oracle_ref import minhash_lsh_pairs_ref, shingles
 
     def build() -> pa.Table:
         docs = _read_docs(sf_dir)
@@ -5590,7 +5592,7 @@ def q_butterfly_count_cs(sf_dir: str):
     group emits its C(ns, 2) supplier pairs (bounded by the supplier
     dimension); one pair-key groupby and a tiny Σ C(w,2) epilogue.
     DISTINCT double-join replay."""
-    from geotile.ops.relational import _with_bucket, lookup_join
+    from battery.ops.relational import _with_bucket, lookup_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]) \
         .map_batches(lambda t: pa.table(
@@ -5688,8 +5690,8 @@ def q_video_temporal_haar(sf_dir: str):
     exact integers separating smooth pans from strobing content. One
     frame-ledger pass, per-clip folds are index algebra. Python-int
     replay sidecar."""
-    from geotile.ops.relational import _with_bucket
-    from geotile.ops.video import VideoFrameStage, read_video_table
+    from battery.ops.relational import _with_bucket
+    from battery.ops.video import VideoFrameStage, read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
     frames = ds.map_batches(VideoFrameStage, batch_format="pyarrow",
@@ -5781,7 +5783,7 @@ def q_degree_assortativity_dups(sf_dir: str):
     hub-leaf dup structure), kept as integers so no float forms.
     Degrees broadcast as a sorted array; edges map in batches with
     two searchsorted gathers. Degree-join replay."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -5847,7 +5849,7 @@ def q_anomalous_minutes_events(sf_dir: str):
     Minute partials carry their hour key, so one hour co-partition
     scores every minute; output is anomalous minutes per day. LAG-
     free two-level-count replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["ts"])
     MIN = 60_000_000
@@ -5927,7 +5929,7 @@ def q_sig_agreement_pairs_docs(sf_dir: str):
     both sides — no pair-scale driver materialization (r5 rewrite).
     The oracle re-signs scalar-side (fold61 chain replay). Output
     (a, b, n_agree)."""
-    from geotile.ops.dedup import MinHashStage, minhash_lsh_pairs
+    from battery.ops.dedup import MinHashStage, minhash_lsh_pairs
     from geotile.ops.join import _cached_stage
 
     empty = pd.DataFrame({"a": pd.Series(dtype=np.int64),
@@ -5977,7 +5979,7 @@ QUERIES["sig_agreement_pairs_docs"] = q_sig_agreement_pairs_docs
 
 
 def _sig_agreement_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import (minhash_lsh_pairs_ref,
+    from battery.oracle_ref import (minhash_lsh_pairs_ref,
                                     minhash_signature, shingles)
 
     def build() -> pa.Table:
@@ -6024,7 +6026,7 @@ def q_nucleus_mass_types(sf_dir: str):
     behind top-p sampling and ABC analysis. One type co-partition:
     sort desc, one cumsum, one searchsorted-style argmax. Window
     prefix replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_type", "value"])
 
@@ -6120,7 +6122,7 @@ def q_gray_modes_images(sf_dir: str):
     same vectorized per-image 256-bin histogram tensor as Otsu (one
     bincount per size group, one argmax per axis). Python-int replay
     sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 

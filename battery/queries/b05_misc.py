@@ -35,6 +35,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     EMBEDDING_DUPS_SQL,
@@ -77,7 +79,7 @@ def q_audio_peak_tracks(sf_dir: str):
     the frame-energy ledger for an all-integer crest factor) — the
     clipping/normalization pre-check. One |abs|-argmax per stacked
     batch tensor. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -165,7 +167,7 @@ def q_vocab_jaccard_sources(sf_dir: str):
     |A∩B| for every source pair, with per-source vocab sizes
     broadcast in at the end. The corpus-mixing redundancy matrix.
     DISTINCT self-join replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ds = _read(sf_dir, "documents", ["source", "text"])
 
@@ -284,7 +286,7 @@ def q_daily_cross_source_moments(sf_dir: str):
     volume-correlation dashboards — two fact tables, one day
     co-partition, no row ever leaves as a pair. FULL OUTER day
     replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     DAY = 86_400_000_000
 
@@ -421,7 +423,7 @@ def q_quadtree_depth_images(sf_dir: str):
     level is one vectorized reshape max/min over the whole batch
     tensor; the recursion is over LEVELS (≤ log₂ size), not pixels.
     Recursive python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
     THR = 32
@@ -568,7 +570,7 @@ def q_childless_orders_audit(sf_dir: str):
     np.unique partials, the parent side co-partitions against them
     by hashed bucket, and each bucket reports its orphan count.
     NOT EXISTS replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
 
@@ -641,7 +643,7 @@ def q_basket_pairs_user_days(sf_dir: str):
     distinct (basket, type) partials, one basket co-partition, masks
     per basket, pair counts from the ≤2^k distinct masks. DISTINCT
     double-join replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     DAY = 86_400_000_000
@@ -852,7 +854,7 @@ QUERIES["rdp_retention_shapes"] = q_rdp_retention_shapes
 def _rdp_retention_sidecar() -> str:
     """Scalar-RDP retained counts for every fixture shape × tolerance,
     content-keyed on oracle_ref + synth (fixture content)."""
-    import geotile.oracle_ref as _ref
+    import battery.oracle_ref as _ref
     import geotile.synth as _synth
 
     p = (_oracle_cache_dir()
@@ -860,7 +862,7 @@ def _rdp_retention_sidecar() -> str:
     if not p.exists():
         import pyarrow.parquet as pq
 
-        from geotile.oracle_ref import rdp_keep_count
+        from battery.oracle_ref import rdp_keep_count
 
         _oracle_cache_dir().mkdir(parents=True, exist_ok=True)
         d = _fixture_sql_dir()
@@ -925,7 +927,7 @@ def q_hilbert_range_counts(sf_dir: str):
     (oracle_ref.hilbert_xy2d) + window-LAG run counting in SQL; the
     Morton order replays via the proven _sql_spread bit ops."""
     from geotile.geom import cells
-    from geotile.geom.hilbert import hilbert_xy2d
+    from battery.geom.hilbert import hilbert_xy2d
     from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir), columns=["lon", "lat"])
@@ -993,7 +995,7 @@ QUERIES["hilbert_range_counts"] = q_hilbert_range_counts
 def _hilbert_cells_sidecar(img_dir: str) -> str:
     """Scalar-Hilbert code for every occupied res-16 cell of the image
     table — content-keyed on oracle_ref.py."""
-    import geotile.oracle_ref as _ref
+    import battery.oracle_ref as _ref
 
     from pathlib import Path as _P
 
@@ -1005,7 +1007,7 @@ def _hilbert_cells_sidecar(img_dir: str) -> str:
         import pyarrow.parquet as pq
 
         from geotile.geom import cells
-        from geotile.oracle_ref import hilbert_xy2d as _h_ref
+        from battery.oracle_ref import hilbert_xy2d as _h_ref
 
         _oracle_cache_dir().mkdir(parents=True, exist_ok=True)
         t = pa.concat_tables(
@@ -1261,7 +1263,7 @@ QUERIES["kmv_distinct_users"] = q_kmv_distinct_users
 def _kmv_sidecar(sf_dir: str) -> str:
     """Scalar sm64 hash per distinct user — independent of the
     vectorized synth.splitmix64 the engine uses."""
-    import geotile.oracle_ref as _ref
+    import battery.oracle_ref as _ref
     from pathlib import Path as _P
 
     p = (_oracle_cache_dir()
@@ -1269,7 +1271,7 @@ def _kmv_sidecar(sf_dir: str) -> str:
     if not p.exists():
         import pyarrow.parquet as pq
 
-        from geotile.oracle_ref import sm64
+        from battery.oracle_ref import sm64
 
         _oracle_cache_dir().mkdir(parents=True, exist_ok=True)
         M64 = (1 << 64) - 1
@@ -1318,7 +1320,7 @@ def q_cn_link_prediction_dups(sf_dir: str):
     butterfly_count_cs discipline), one pair-key groupby, existing
     edges removed by broadcast sorted-array anti-lookup (edge set is
     dedup-output scale). Wedge self-join replay."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -1405,7 +1407,7 @@ def q_rle_runs_images(sf_dir: str):
     boundary, run lengths are index algebra, and per-image
     aggregation is a bincount + maximum.at — no per-pixel Python.
     Scalar python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1607,7 +1609,7 @@ QUERIES["mmr_topk_embeddings"] = q_mmr_topk_embeddings
 
 
 def _mmr_sidecar(sf_dir: str) -> str:
-    import geotile.oracle_ref as _ref
+    import battery.oracle_ref as _ref
     from pathlib import Path as _P
 
     p = (_oracle_cache_dir()
@@ -1617,7 +1619,7 @@ def _mmr_sidecar(sf_dir: str) -> str:
 
         import pyarrow.parquet as pq
 
-        from geotile.oracle_ref import mmr_topk_ref, sm64
+        from battery.oracle_ref import mmr_topk_ref, sm64
 
         _oracle_cache_dir().mkdir(parents=True, exist_ok=True)
         t = pq.read_table(f"{sf_dir}/embeddings.parquet",
@@ -1664,7 +1666,7 @@ def q_audio_decimate_tracks(sf_dir: str):
     sample-rate tier. Tail samples past the last full frame drop
     (documented, replay mirrors). One reshape-sum per stacked batch
     tensor. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -1857,7 +1859,7 @@ def q_blob_geometry_images(sf_dir: str):
     smallest root label (= smallest flat pixel index, deterministic).
     Geometry is index algebra over the winning mask — no per-pixel
     Python. Scalar flood-fill replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -2034,7 +2036,7 @@ def q_kendall_nation_pairs(sf_dir: str):
     ledger; each PAIR'S two series meet in a pair-id co-partition
     where the O(days²) sign outer-product is one vectorized triu sum.
     Double self-join replay."""
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -2254,7 +2256,7 @@ def q_dilation_area_images(sf_dir: str):
     delta separates compact blobs (small perimeter ⇒ small delta)
     from speckle. Dilation is four array shifts + logical-or over the
     whole batch tensor; areas are two sums. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -2447,7 +2449,7 @@ def q_interp_fill_daily_users(sf_dir: str):
     query. One user co-partition; the gap rows come from repeat/arange
     index algebra, bounded by the calendar. LEAD + LATERAL
     generate_series replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
     DAY = 86_400_000_000
@@ -2540,8 +2542,8 @@ def q_component_threshold_sweep_dups(sf_dir: str):
     all-pairs stage runs ONCE at the base tau; each sweep level is a
     cheap e6-lattice filter of that pair set feeding the distributed
     connected-components op. Recursive-CTE replay per level."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import connected_components
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -2848,7 +2850,7 @@ def q_next_type_majority_accuracy(sf_dir: str):
     lexicographically smallest type on ties) broadcast nowhere — it
     is driver-side dimension-scale. Output per test source type:
     n_test, n_hit. Double-CTE argmax replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type"])
@@ -2940,7 +2942,7 @@ def q_test_contamination_docs(sf_dir: str):
     pairs meet in a hash-bucketed semi-join co-partition; per-doc
     totals come back through one doc-grain groupby. Unnest-pair
     replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2999,7 +3001,7 @@ def q_test_contamination_docs(sf_dir: str):
                                  "seen": "n_seen"})
 
     def bucket2(t: pa.Table) -> pa.Table:
-        from geotile.ops.hashing import hash_strings
+        from battery.ops.hashing import hash_strings
 
         h = hash_strings(t["bigram"].combine_chunks()
                          if isinstance(t["bigram"], pa.ChunkedArray)
@@ -3132,7 +3134,7 @@ def q_snm_recall_audit(sf_dir: str):
     are existing distributed stages reused as-is; the audit join runs
     over two dedup-output-scale sets. Replay joins the two existing
     SQL oracles."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     truth = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -3252,7 +3254,7 @@ def q_dispersion_class_users(sf_dir: str):
     exact integer predicate n·S₂·(n−1) vs S₁²·... (see code: the
     two boundaries are CV² = 1/2 and CV² = 2, cross-multiplied so no
     quotient forms). One user co-partition. CASE replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -3443,7 +3445,7 @@ def q_proj_profile_images(sf_dir: str):
     the text-line / layout detection primitive. Row and column sums
     are two reductions of the batch tensor; nothing per-pixel.
     Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3627,7 +3629,7 @@ def q_rbo_nation_rankings(sf_dir: str):
     rankings are nation-cardinality aggregates off one fact pass;
     the overlap algebra is driver-side dimension work. Double
     ROW_NUMBER + prefix-join replay."""
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -3711,7 +3713,7 @@ def q_lbp_texture_images(sf_dir: str):
     code histogram packed as (image, code, n) rows — the classic
     texture descriptor, all from four shifted compares + one
     offset-packed bincount per batch tensor. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4020,7 +4022,7 @@ def q_seam_energy_images(sf_dir: str):
     tensor, h iterations total, never a per-pixel loop. Reports the
     exact integer cost and the seam's end column (first argmin).
     Scalar DP replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
     BIG = np.int64(1 << 60)
@@ -4154,7 +4156,7 @@ def q_log2_gap_histogram_users(sf_dir: str):
     frexp exponents (exact for ints < 2^53, no log() float hazard).
     Gap extraction is one diff inside a user co-partition; the
     histogram is ~40 rows. length(bin(gap)) replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -4373,7 +4375,7 @@ def q_exclusion_funnel_users(sf_dir: str):
     last_error. Counts per user contract to three global integers
     (users with any conversion, users with a clean one, total clean
     conversions). Window MAX(CASE) replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type"])
@@ -4481,7 +4483,7 @@ def q_hog4_images(sf_dir: str):
     flat-pixel count — the orientation census without a single
     arctan. Two shifted differences + one packed bincount per batch
     tensor. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4592,7 +4594,7 @@ def q_audio_median_abs_tracks(sf_dir: str):
     ONE offset-packed bincount + cumsum searchsorted across the whole
     batch tensor, the image-median discipline applied to audio.
     Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -4831,8 +4833,8 @@ def q_er_canonical_docs(sf_dir: str):
     applies. Cluster membership is dedup-output-scale; n_chars rides
     a broadcast gather of ONLY the clustered ids. Recursive-CTE +
     window survivorship replay."""
-    from geotile.ops.dedup import ngram_jaccard_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import ngram_jaccard_pairs
+    from battery.ops.graph import connected_components
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = ngram_jaccard_pairs(docs, k=4, tau_num=1, tau_den=2)
@@ -4922,8 +4924,8 @@ def q_medoid_dup_clusters(sf_dir: str):
     one broadcast membership gather, and each cluster's O(k²) Gram is
     one matmul. Pairwise-sum window replay on the recursive
     components."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import connected_components
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import connected_components
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -5230,7 +5232,7 @@ def q_borda_topk_customers(sf_dir: str):
             .group_by("ck").aggregate([("c", "sum")])
         return g.rename_columns(["ck", "c"])
 
-    from geotile.ops.relational import broadcast_dim, dim_lookup
+    from battery.ops.relational import broadcast_dim, dim_lookup
 
     rk, rt = broadcast_dim(
         orders.map_batches(part, batch_format="pyarrow")
@@ -5297,13 +5299,13 @@ def q_identical_behavior_users(sf_dir: str):
     shuffle then compares 8-byte fingerprints, never sequences.
     Output: per duplicated fingerprint group, its size and smallest
     user. string_agg prefix-group replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events",
                ["event_id", "user_id", "ts", "event_type"])
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
-        from geotile.oracle_ref import poly_hash
+        from battery.oracle_ref import poly_hash
 
         df = df.sort_values(["user_id", "ts", "event_id"],
                             kind="stable")
@@ -5315,7 +5317,7 @@ def q_identical_behavior_users(sf_dir: str):
         # per-user fingerprint: sequences are short (user-bounded);
         # the polynomial fold is the scalar reference scheme applied
         # to per-type token hashes
-        from geotile.oracle_ref import token_hashes
+        from battery.oracle_ref import token_hashes
         tok_cache: dict[str, int] = {}
         while i < n:
             j = i
@@ -5396,7 +5398,7 @@ def q_trimmed_revenue_nations(sf_dir: str):
     order statistic, so the co-partition IS the algorithm (25 nations
     bound the skew). Window CASE replay."""
 
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
 
     ck, _ct = broadcast_dim(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
@@ -5776,7 +5778,7 @@ def q_dist_transform_images(sf_dir: str):
     whole-batch tensor ops, never per-pixel Python. Images with no
     foreground take the defined sentinel w + h everywhere. Scalar
     replay sidecar runs an independent multi-source BFS."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -5912,7 +5914,7 @@ def q_zigzag_runs_users(sf_dir: str):
     validity, so zero diffs and user boundaries cost nothing. Every
     user with >= 1 event reports (a diffless user scores 1). Double
     LAG window replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -6015,7 +6017,7 @@ def q_median_filter_images(sf_dir: str):
     views stacked, one int64 sort along the stencil axis, element [4]
     is the median — never per-pixel Python. Scalar replay sidecar
     sorts each 9-neighbourhood in pure python."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 

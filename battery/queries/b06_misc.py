@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     EMBEDDING_DUPS_SQL,
@@ -91,7 +93,7 @@ def q_greedy_matching_dups(sf_dir: str):
     (broadcastable, same contract as kcore_dups). Oracle: an
     independent SEQUENTIAL greedy in pure python over the SQL
     cosine-join pair list — two algorithms, one matching."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -287,7 +289,7 @@ def q_audio_requant_audit(sf_dir: str):
     int8 embedding-quantization audit on the PCM domain. One shift/
     subtract pass over the stacked batch tensor. Python-int replay
     sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -457,7 +459,7 @@ QUERIES["kcenter_seeds_embeddings"] = q_kcenter_seeds_embeddings
 
 
 def _kcenter_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import kcenter_ref
+    from battery.oracle_ref import kcenter_ref
 
     def build() -> pa.Table:
         import math
@@ -574,7 +576,7 @@ QUERIES["kmv_jaccard_types"] = q_kmv_jaccard_types
 
 
 def _kmvj_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     def build() -> pa.Table:
         import duckdb
@@ -634,7 +636,7 @@ def q_motion_centroid_clips(sf_dir: str):
     (front-loaded vs back-loaded action). One |diff| + one weighted
     sum over each payload group's stacked 5-D tensor. Python-int
     replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -745,7 +747,7 @@ def q_bitplane_census_images(sf_dir: str):
     noise and don't), the input a PNG-filter/bit-depth chooser keys
     on. Long output (image_id, plane, n_ones): eight shift-mask sums
     over the batch tensor. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1096,7 +1098,7 @@ def q_greedy_coloring_dups(sf_dir: str):
     dedup-output scale (broadcastable, the kcore_dups contract).
     Oracle: an independent SEQUENTIAL greedy in pure python over the
     SQL cosine-join pairs — two algorithms, one coloring."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -1200,7 +1202,7 @@ def q_brightest_block_images(sf_dir: str):
     (two cumsums) + four gathers per batch tensor, so every one of
     the (h−7)·(w−7) candidate blocks costs O(1) — never a per-pixel
     rescan. Scalar replay sidecar re-sums each block naively."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1309,7 +1311,7 @@ def q_audio_monotone_runs(sf_dir: str):
     monotone-run discipline ported from the events table to audio.
     One diff + one run-length fold over the stacked batch tensor.
     Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -1461,7 +1463,7 @@ QUERIES["f2_sketch_users"] = q_f2_sketch_users
 
 
 def _f2_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     def build() -> pa.Table:
         import duckdb
@@ -1693,7 +1695,7 @@ def q_ship_lag_buckets_priority(sf_dir: str):
     the raw microsecond difference (four int64 compares — no
     division, so negative lags need no floor-semantics care).
     Direct join SQL replay."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
     orders = _read(sf_dir, "orders",
@@ -1761,7 +1763,7 @@ def q_moravec_corners_images(sf_dir: str):
     committing to descriptors. Whole-batch tensor ops; the valid
     region is the exact intersection of all four window supports.
     Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(256)
     DIRS = ((0, 1), (1, 0), (1, 1), (1, -1))
@@ -1973,7 +1975,7 @@ def q_majority_label_prop_dups(sf_dir: str):
     via a broadcast-filtered semi-join, never a full label scan to
     the driver. Oracle: independent pure-python Counter vote over
     the SQL cosine-join pairs — two algorithms, one labelling."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -2300,7 +2302,7 @@ def q_audio_clipping_audit(sf_dir: str):
     isolated hits are just hot peaks; the gain-staging triage before
     any audio features are trusted. One threshold + run fold per
     stacked tensor. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -2490,7 +2492,7 @@ QUERIES["soundex_classes_docs"] = q_soundex_classes_docs
 
 
 def _soundex_sidecar(sf_dir: str) -> str:
-    from geotile.oracle_ref import soundex_ref
+    from battery.oracle_ref import soundex_ref
 
     def build() -> pa.Table:
         import duckdb
@@ -2539,7 +2541,7 @@ def q_blockiness_images(sf_dir: str):
     after decode, the provenance/double-compression triage. Four
     masked |diff| sums over the batch tensor, exact ints. Scalar
     replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -2907,7 +2909,7 @@ def q_activity_halflife_users(sf_dir: str):
     differently from steady ones. Scan contracts to (user, day)
     partials; the prefix pick is one cumsum inside a user
     co-partition at day grain. Window-prefix SQL replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     DAY = 86_400_000_000
     ev = _read(sf_dir, "events", ["user_id", "ts"])
@@ -2998,7 +3000,7 @@ def q_video_time_symmetry(sf_dir: str):
     time-axis twin of the spatial mirror-symmetry op. One reversed-
     slice |diff| over the stacked 5-D tensor. Python-int replay
     sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -3103,7 +3105,7 @@ def q_kanon_users(sf_dir: str):
     co-partition (the quasi-key never leaves as raw events); the
     output is the class-size histogram, so only |users| rows then
     |sizes| rows move. Double-aggregate window replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     DAY = 86_400_000_000
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -3212,7 +3214,7 @@ def q_channel_corr_images(sf_dir: str):
     first per-channel-PAIR statistic next to the per-channel
     histograms. Five sums + three products per image, all over the
     batch tensor. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3404,7 +3406,7 @@ def q_lang_runs_sources(sf_dir: str):
     upstream (which biases any sequential sampler); interleaved
     langs are safe to stream. One sort + run fold inside a source
     co-partition at (doc_id, lang) grain. LAG window replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     docs = _read(sf_dir, "documents", ["doc_id", "source", "lang"])
 
@@ -3488,7 +3490,7 @@ def q_column_period_images(sf_dir: str):
     blockiness op's job). One column-sum per image then eight
     shifted dot products; long (image_id, lag, acorr) output.
     Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3874,7 +3876,7 @@ def q_bipartite_audit_dups(sf_dir: str):
     broadcastable CSR (the bfs_dups contract) + one vectorized
     equal-parity edge count. Oracle: independent python deque BFS
     over the SQL cosine-join pairs."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -4013,7 +4015,7 @@ def q_second_order_latency(sf_dir: str):
     two smallest order dates per customer come from a segmented
     pick after one custkey co-partition sort; only the ≤64-row
     histogram shuffles out. Double ROW_NUMBER window replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     DAY = 86_400_000_000
     orders = _read(sf_dir, "orders",
@@ -4362,7 +4364,7 @@ def q_row_trend_images(sf_dir: str):
     semantics. The h×h sign matrix folds per batch tensor (h ≤ 64,
     so the outer product is tiny); exact integers end to end.
     Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4474,7 +4476,7 @@ def q_audio_halftime(sf_dir: str):
     heuristic an audio curator applies before windowing. One |abs|
     cumsum + three searchsorted picks per stacked tensor. Python-int
     replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -4828,7 +4830,7 @@ def q_motion_spikes_clips(sf_dir: str):
     m_t > 2·med, one integer compare) — cuts vs pans: cuts spike
     far above the clip's own baseline. One |diff| + one sort per
     stacked tensor. Python-int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -4987,7 +4989,7 @@ def q_modal_color_images(sf_dir: str):
     the tie resolved by the sort order itself (runs ascend by
     color, numpy argmax takes the first = smallest). Scalar replay
     sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -5264,7 +5266,7 @@ def q_caption_brightness_cov(sf_dir: str):
     coordinates; the five moments are combinable int64 partials.
     Oracle: scalar-mass sidecar joined to the parquet captions, the
     SAME moment expressions in SQL."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -5448,7 +5450,7 @@ def q_race_to_value_users(sf_dir: str):
     op measures shape. One cumsum + first-crossing pick inside a
     user co-partition; only per-user crossing rows reach the final
     top-k. Window-prefix replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts",
                                   "value"])
@@ -5545,7 +5547,7 @@ def q_channel_order_census(sf_dir: str):
     Three vectorized compares classify every pixel; exact counts.
     Long (image_id, ordering, n) output; ordering 0..5 =
     rgb,rbg,grb,gbr,brg,bgr, 6 = any tie. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -5885,7 +5887,7 @@ def q_cohort_retention_matrix(sf_dir: str):
     count partials, then a cell-grain sum — raw events never leave the
     first contraction, and the final shuffle is day^2-bounded.
     MIN() OVER (PARTITION BY user) replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -5957,7 +5959,7 @@ def q_euler_quad_images(sf_dir: str):
     solid photos, computed without any labeling pass: four shifted
     views + three vectorized compares per size group. Scalar replay
     sidecar (independent python quad walk)."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -6087,7 +6089,7 @@ def q_audio_crest_factor(sf_dir: str):
     are trusted. Bounds: energy ≤ 4096·2³⁰ < 2⁴², peak²·n·16 < 2⁴⁷ —
     int64-exact throughout. One |max| + two sums per stacked tensor.
     Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 

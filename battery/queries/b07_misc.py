@@ -35,6 +35,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     EMBEDDING_DUPS_SQL,
@@ -133,7 +135,7 @@ def q_video_pixel_range_hist(sf_dir: str):
     of the frame-grain motion ops. Conservation: Σn = h·w·3 per
     clip. One max − min over the frame axis + one bincount per
     stacked 5-D tensor. Python-int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -307,7 +309,7 @@ QUERIES["cm_heavy_hitters_audit"] = q_cm_heavy_hitters_audit
 
 def _cmhh_sidecar(sf_dir: str) -> str:
     """Python sm64 Count-Min replay (independent of numpy paths)."""
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     def build() -> pa.Table:
         import duckdb
@@ -439,7 +441,7 @@ def q_palette_quant_images(sf_dir: str):
     composition fingerprint. Conservation: Σn = h·w. One broadcasted
     (k,h,w,8) distance tensor + argmin per size group. Scalar replay
     sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
     corners = np.array([[(c >> 2) & 1, (c >> 1) & 1, c & 1]
@@ -565,8 +567,8 @@ def q_dup_diameter_sweep(sf_dir: str):
     round, frontier never on the driver); only the component ledger
     and two single-row picks land driver-side. Independent python
     deque-BFS replay over the SQL cosine-join pairs."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.ops.graph import bfs_levels, connected_components
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.ops.graph import bfs_levels, connected_components
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -1020,7 +1022,7 @@ def q_saturation_census_images(sf_dir: str):
     pipeline branches on before color-space features are trusted.
     Conservation: Σn = w·h per image. Two tensor reductions + one
     LUT bincount per (w, h) size group. Scalar replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -1141,7 +1143,7 @@ def q_audio_lsb_bias(sf_dir: str):
     bit-depth-laundering tell (a 15-bit source zero-pads the LSB:
     one run of length n). One mask + one run fold per stacked
     tensor. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -1486,7 +1488,7 @@ def q_granulometry_images(sf_dir: str):
     Erosion/dilation are k² shifted-view min/max reductions over the
     whole (n, h, w) batch tensor per size group — no per-pixel
     Python. Independent per-pixel python-int window replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -2189,7 +2191,7 @@ def q_rice_coding_tracks(sf_dir: str):
     and the signal a lossless audio shard-packer keys on. One diff +
     zigzag + 16 shift-sums per stacked tensor — no per-sample
     python. Python-int replay sidecar."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
+    from battery.ops.audio import AudioFrameStage, read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -2482,7 +2484,7 @@ def q_bright_rect_images(sf_dir: str):
     idx − last_false — no per-pixel python. The sidecar replays with
     the classic histogram-stack algorithm (different algorithm, same
     spec). Python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -2614,7 +2616,7 @@ def q_video_loop_period(sf_dir: str):
     dedup. One np.roll |diff| reduction per shift over the stacked
     5-D tensor — n−1 vectorized passes, no per-pixel python.
     Python-int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -2802,7 +2804,7 @@ def q_single_linkage_merges(sf_dir: str):
     as the matching/coloring ops). Oracle: an independent label-
     rewrite clustering in pure python over the SQL cosine-join pair
     list — two algorithms, one dendrogram."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -2933,7 +2935,7 @@ def q_caption_token_brightness_lift(sf_dir: str):
     with tokens DEDUPED per image plus a reserved ''-total row; the
     shuffle is vocabulary-bounded. Oracle: gray-mass sidecar joined
     to the parquet captions, HUGEINT quotient replay."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3220,7 +3222,7 @@ def q_texture_direction_census(sf_dir: str):
     period, not roughness) don't serve. Two diffs + two product
     compares per batch tensor — no per-pixel python. Scalar python
     replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3436,7 +3438,7 @@ def q_box_count_images(sf_dir: str):
     with the division left to the analyst. Scale-1 boxes double as
     the bright-pixel count. One pad + reshape + any() reduction per
     scale over the batch tensor. Scalar python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -3771,7 +3773,7 @@ def _lincount_sidecar(sf_dir: str) -> str:
 
     import pyarrow.parquet as pq
 
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     key = blake2b((sf_dir + "lincount-v1").encode(),
                   digest_size=8).hexdigest()
@@ -4081,7 +4083,7 @@ def q_onion_profile_images(sf_dir: str):
     needs. One ring-index tensor + per-image bincount per size
     group. Conservation: Σ ring mass = total gray mass. Scalar
     python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4354,7 +4356,7 @@ def q_typicality_outlier_images(sf_dir: str):
     1024 rows in python big ints (products ~10²⁴) and ships the
     score as decimal digits. Histogram sidecar + HUGEINT SQL
     replay."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4499,7 +4501,7 @@ def q_video_rice_temporal(sf_dir: str):
     cheapest 'how compressible is this video' answer before any real
     encoder runs. One diff + zigzag + 16 shift-sums per stacked 5-D
     tensor. Python-int replay sidecar."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -4786,7 +4788,7 @@ def q_bright_bbox_images(sf_dir: str):
     letterbox-trim stage actually consumes. All −1 when the mask is
     empty. One any()-reduction per axis + argmax from both ends per
     batch tensor. Scalar python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 
@@ -4909,7 +4911,7 @@ def q_customer_basket_jaccard(sf_dir: str):
     co-partition (pair-once a < b) so only co-purchase pairs ever
     exist, bounded by part fan-out² — never customers². Self-join
     SQL replay."""
-    from geotile.ops.relational import broadcast_dim, dim_lookup
+    from battery.ops.relational import broadcast_dim, dim_lookup
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     # orders are FACT-scale at 100 TB: the broadcast_dim cap documents
@@ -4952,7 +4954,7 @@ def q_customer_basket_jaccard(sf_dir: str):
     # pair generation: bucketed self-join on part (32 bucket groups,
     # not one task per part — 20k tiny map_groups measured 2+ min at
     # sf0.01; the hash-bucketed join does it in seconds)
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     bsnap = basket.materialize()
     lhs = bsnap.map_batches(
@@ -4986,7 +4988,7 @@ def q_customer_basket_jaccard(sf_dir: str):
         # the same basket lineage as the sizes, but the two are separate
         # executions — a miss must DROP the pair (inner semantics, as
         # the SQL's JOIN sz does), never gather a neighbor's size
-        from geotile.ops.relational import dim_lookup
+        from battery.ops.relational import dim_lookup
 
         ia, ha = dim_lookup(szk_, a)
         ib, hb = dim_lookup(szk_, b)
@@ -5254,7 +5256,7 @@ def q_ldiversity_users(sf_dir: str):
     (l, n_classes) histogram. Same one-user-co-partition fold as
     kanon (raw events never leave), classes contract to QI grain
     then to l grain. Double-aggregate COUNT(DISTINCT) replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     DAY = 86_400_000_000
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
@@ -5394,7 +5396,7 @@ def q_ktruss_dups(sf_dir: str):
     edge-ledger scale (the kcore/matching/coloring contract).
     Independent sorted-merge-intersection python replay over the
     SQL cosine pairs."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -5654,7 +5656,7 @@ def q_dup_rows_images(sf_dir: str):
     dual (rows × cols both collapsed) flags synthetic test cards.
     Rows pack to void dtype for one np.unique per axis. Scalar
     python replay sidecar."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir)).limit(1024)
 

@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     EMBEDDING_DUPS_SQL,
@@ -110,7 +112,7 @@ def q_order_total_reconciliation(sf_dir: str):
     contract to orderkey grain, the header side joins through the
     32-bucket hash join (both sides large — never a broadcast of
     orders). Same integer expression tree in SQL."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount",
@@ -212,7 +214,7 @@ def q_rich_club_dups(sf_dir: str):
     edges and possible pairs. Degrees fold from the distributed pair
     stage at edge-ledger scale. Independent python replay over the
     SQL cosine pairs."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -470,7 +472,7 @@ def q_part_pair_lift_orders(sf_dir: str):
     the 32-bucket hash self-join, bounded by lines-per-order² (≤ 49)
     — never parts². Per-part counts broadcast at dimension scale;
     the order universe n folds to one scalar. Self-join SQL replay."""
-    from geotile.ops.relational import bucketed_join
+    from battery.ops.relational import bucketed_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -587,7 +589,7 @@ def q_lis_customer_orders(sf_dir: str):
     the buckets. LIS is not SQL-expressible at this grain — python
     patience-sort replay over the same (cust, date, orderkey) sort,
     shipped as a sidecar parquet."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     ods = _read(sf_dir, "orders",
                 ["o_custkey", "o_orderkey", "o_orderdate",
@@ -1041,7 +1043,7 @@ def q_percentile_mismatch_customers(sf_dir: str):
     e2 balance axis is offset +100000 to meet the primitive's
     non-negative contract (order-preserving, asserted). Window SQL
     replay."""
-    from geotile.ops.relational import bucketed_join, global_row_number
+    from battery.ops.relational import bucketed_join, global_row_number
 
     ods = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
@@ -1686,7 +1688,7 @@ def q_pack_size_gcd_parts(sf_dir: str):
     scan to (part, gcd) partials, one partkey co-partition finishes
     the fold, and only the ≤ 50-cell histogram leaves. Quantities
     are asserted integral. list_reduce(gcd) SQL replay."""
-    from geotile.ops.relational import _with_bucket
+    from battery.ops.relational import _with_bucket
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
 
@@ -1767,7 +1769,7 @@ def q_simpson_strata_brands(sf_dir: str):
                ["l_partkey", "l_quantity", "l_discount"])
 
     def part(t: pa.Table) -> pa.Table:
-        from geotile.ops.relational import dim_lookup
+        from battery.ops.relational import dim_lookup
 
         pk_, codes_, names_ = _broadcast(pref)
         pk = t["l_partkey"].to_numpy(zero_copy_only=False)
@@ -1932,7 +1934,7 @@ def q_bridges_dups(sf_dir: str):
     edge-ledger scale (the rich_club/bfs posture — the dup graph is
     candidate-pair scale, not corpus scale). Independent python
     replay over the SQL cosine pairs."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -2005,7 +2007,7 @@ def q_audio_predictor_order_audit(sf_dir: str):
     op chooses the PREDICTOR. One np.diff chain over the stacked
     int64 tensor per payload batch — no per-sample python.
     Python-int replay sidecar."""
-    from geotile.ops.audio import read_audio_table
+    from battery.ops.audio import read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -2592,7 +2594,7 @@ def q_phash_hubness_images(sf_dir: str):
     to (winner, count) before the only shuffle; the zero row is
     assembled from the aggregates themselves. Packed-argmin SQL
     replay (MIN(d*2^35+idx)) avoids a 400M-row window sort."""
-    from geotile.ops.relational import broadcast_dim
+    from battery.ops.relational import broadcast_dim
     from geotile.ops.tiles import read_image_table
 
     img = _image_dir_for(sf_dir)
@@ -3019,7 +3021,7 @@ def q_video_cut_audit(sf_dir: str):
     'rawseq' codec gate as in ops/video.py. Generator-replay sidecar
     rederives every frame from synth.pixel_pattern with pure-python
     Counter histograms."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -3169,7 +3171,7 @@ def q_alias_table_nations(sf_dir: str):
     SQL-aggregated-weights + same-construction replay sidecar."""
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    from geotile.ops.relational import dim_lookup
+    from battery.ops.relational import dim_lookup
 
     ck, cnat = _dim_np(sf_dir, "customer", "c_custkey", ["c_nationkey"])
     nk, nname = _dim_np(sf_dir, "nation", "n_nationkey", ["n_name"])
@@ -3477,7 +3479,7 @@ def _lsh_balance_sidecar(sf_dir: str) -> str:
 
     import pyarrow.parquet as pq
 
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     key = blake2b((sf_dir + "lshbal-v1").encode(),
                   digest_size=8).hexdigest()
@@ -4211,7 +4213,7 @@ def _merkle_tree(leaves: list) -> tuple:
     """Binary hash tree over the fixed leaf array: parent =
     sm64((a·FNV + b) mod 2^64) — asymmetric, so sibling swaps change
     the root. Returns (root, levels)."""
-    from geotile.oracle_ref import _POLY_P, sm64
+    from battery.oracle_ref import _POLY_P, sm64
 
     level = list(leaves)
     levels = 0
@@ -4291,7 +4293,7 @@ def _merkle_sidecar(sf_dir: str) -> str:
 
     import duckdb
 
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     key = blake2b((sf_dir + "merkle-v1").encode(),
                   digest_size=8).hexdigest()
@@ -4986,7 +4988,7 @@ def _ring_sidecar(sf_dir: str) -> str:
 
     import duckdb
 
-    from geotile.oracle_ref import sm64
+    from battery.oracle_ref import sm64
 
     key = blake2b((sf_dir + "ring-v1").encode(),
                   digest_size=8).hexdigest()
@@ -5108,7 +5110,7 @@ def q_ima_adpcm_tracks(sf_dir: str):
     per track. Generator-replay sidecar rederives every sample from
     synth.audio_samples and runs the same published state machine in
     pure python ints."""
-    from geotile.ops.audio import read_audio_table
+    from battery.ops.audio import read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -5229,7 +5231,7 @@ def q_dither_fs_images(sf_dir: str):
     sequential per pixel but images are the parallel grain.
     Generator-replay sidecar rederives pixels from
     synth.pixel_pattern and runs the same integer diffusion."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir),
                           columns=["image_id", "fmt", "w", "h",
@@ -5378,7 +5380,7 @@ def q_h_index_nations(sf_dir: str):
     zero-fill. ROW_NUMBER rank-threshold SQL replay."""
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
-    from geotile.ops.relational import dim_lookup
+    from battery.ops.relational import dim_lookup
 
     ck, cnat = _dim_np(sf_dir, "customer", "c_custkey", ["c_nationkey"])
     nk, nname = _dim_np(sf_dir, "nation", "n_nationkey", ["n_name"])
@@ -5533,7 +5535,7 @@ def q_persistence_census_images(sf_dir: str):
     (image, threshold); images are the parallel grain. INDEPENDENT
     BFS flood-fill replay sidecar (no union-find), cross-checked on
     random grids."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir),
                           columns=["image_id", "fmt", "w", "h",
@@ -5704,7 +5706,7 @@ def q_gop_plan_clips(sf_dir: str):
     delta pass per batch tensor feeds the per-clip DP. INDEPENDENT
     replay relaxes the same DAG label-correcting in reversed edge
     order to fixpoint over generator-rederived frames."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 

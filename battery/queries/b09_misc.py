@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
+from battery.ops.images import ImageDecodeStage
+
 from .b01_core import (
     _dim_np,
     EMBEDDING_DUPS_SQL,
@@ -70,7 +72,7 @@ def q_block_match_motion_clips(sf_dir: str):
     25-candidate tensor sweep. INDEPENDENT bounds-checked per-block
     tuple-comparison replay over generator-rederived frames,
     cross-checked on random tensors."""
-    from geotile.ops.video import read_video_table
+    from battery.ops.video import read_video_table
 
     ds = read_video_table(_video_dir_for(sf_dir))
 
@@ -211,7 +213,7 @@ def q_dtw_adjacent_tracks(sf_dir: str):
     construction, no all-to-all. Per-row the DP is a min-plus prefix
     scan (see _dtw_cost). INDEPENDENT textbook cell-DP replay
     sidecar, cross-checked on random series."""
-    from geotile.ops.audio import read_audio_table
+    from battery.ops.audio import read_audio_table
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
 
@@ -1008,7 +1010,7 @@ def q_hough_peak_images(sf_dir: str):
     bincounts. INDEPENDENT dict-accumulation replay with explicit
     tuple tie-breaks over generator-rederived pixels, cross-checked
     on random grids."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir),
                           columns=["image_id", "fmt", "w", "h",
@@ -2536,7 +2538,7 @@ def q_hopcroft_karp_dups(sf_dir: str):
     edge list — dup-graph-scale, not corpus-scale. INDEPENDENT
     Kuhn single-path-DFS replay over SQL-recomputed pairs, random
     bipartite cross-checks."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -2800,7 +2802,7 @@ def q_max_submatrix_images(sf_dir: str):
     sum is unique; the arg box is not, so only the sum ships.
     INDEPENDENT 2-D-prefix-table corner-enumeration replay over
     generator-rederived pixels, cross-checked on random matrices."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir),
                           columns=["image_id", "fmt", "w", "h",
@@ -3792,7 +3794,7 @@ def _diam_sidecar(img: str) -> str:
         rows = []
         for c in np.unique(cell):
             sel = np.nonzero(cell == c)[0][: _MST_CAP]
-            from geotile.queries import _diam2_hull as _dh
+            from battery.queries import _diam2_hull as _dh
 
             h, _ = _dh(ix[sel], iy[sel])
             rows.append({"cell": int(c),
@@ -3950,7 +3952,7 @@ def q_stoer_wagner_dups(sf_dir: str):
     INDEPENDENT fixed-s all-t max-flow replay via Dinic in the
     sidecar — a flow argument, not a phase argument — plus random
     graph cross-checks."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -4495,7 +4497,7 @@ def q_life_census_images(sf_dir: str):
     a map over tiles with 1-px halo exchange. INDEPENDENT per-cell
     bounds-checked Python replay over generator-rederived pixels,
     random cross-checks."""
-    from geotile.ops.tiles import ImageDecodeStage, read_image_table
+    from geotile.ops.tiles import read_image_table
 
     ds = read_image_table(_image_dir_for(sf_dir),
                           columns=["image_id", "fmt", "w", "h",
@@ -4915,7 +4917,7 @@ def q_stress_centrality_dups(sf_dir: str):
     scale. INDEPENDENT full shortest-path DFS ENUMERATION replay —
     no multiplication — plus star/path/cycle pins and random
     cross-checks."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),

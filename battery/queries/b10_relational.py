@@ -616,7 +616,7 @@ def q_walk_counts_dups(sf_dir: str):
     dup-graph scale. INDEPENDENT per-source adjacency-list walk DP
     replay — no matrices — plus complete-graph closed forms pinned
     (K4: tr A³ = 24, tr A⁴ = 84)."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -1891,7 +1891,7 @@ def q_hamming74_tracks(sf_dir: str):
     itself is hash-checked. Tracks are the parallel grain behind the
     pcm16 gate. INDEPENDENT nearest-codeword Hamming-argmin replay —
     no syndrome arithmetic anywhere."""
-    from geotile.ops.audio import read_audio_table
+    from battery.ops.audio import read_audio_table
     from geotile.synth import splitmix64
 
     ds = read_audio_table(_audio_dir_for(sf_dir))
@@ -3487,7 +3487,7 @@ def q_rank_gf2_sources(sf_dir: str):
     simhash stage. INDEPENDENT replay: explicit 0/1-matrix Gaussian
     elimination with rows fed in REVERSE — agreement checks the
     code AND rank's order-invariance; subspace pins in tests."""
-    from geotile.ops.dedup import simhash_batch
+    from battery.ops.dedup import simhash_batch
 
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
 
@@ -3519,7 +3519,7 @@ def _gf2_sidecar(sf_dir: str) -> str:
 
     import duckdb
 
-    import geotile.ops.dedup as _dd
+    import battery.ops.dedup as _dd
 
     key = blake2b((sf_dir + "gf2-v1").encode(),
                   digest_size=8).hexdigest()
@@ -5155,7 +5155,7 @@ def q_wiener_index_dups(sf_dir: str):
     O(V³) k-relaxation on the dense matrix at dup-graph scale.
     INDEPENDENT all-source BFS replay — the other APSP family —
     path/star/cycle closed forms pinned."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),
@@ -5989,7 +5989,7 @@ def q_lca_binarylift_dups(sf_dir: str):
     no ancestor tables; chain/star pins in tests."""
     from collections import deque
 
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
     from geotile.synth import splitmix64
 
     pairs_t = embedding_dup_pairs(

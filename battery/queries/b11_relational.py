@@ -768,7 +768,7 @@ def q_prufer_roundtrip_dups(sf_dir: str):
     ships. Degree identity deg(v) = multiplicity(v) + 1 is the
     structural pin. INDEPENDENT two-pointer O(n) decode replay (no
     heap) in the sidecar; star/path closed-form sequences pinned."""
-    from geotile.ops.dedup import embedding_dup_pairs
+    from battery.ops.dedup import embedding_dup_pairs
 
     pairs_t = embedding_dup_pairs(
         _read(sf_dir, "embeddings", ["vec_id", "embedding"]),

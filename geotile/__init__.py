@@ -3,7 +3,8 @@
 Re-expresses the geometry pipeline of BlinkTagInc/gtfs-to-geojson
 (reference at /root/reference, v3.8.7) as idiomatic Ray Data:
 ``ray.data.Dataset`` → ``map_batches`` over zero-copy Arrow batches,
-actor pools for index state, groupby/aggregate for the wide steps —
+stateless tasks that fetch a broadcast index once per worker process,
+groupby/aggregate for the wide steps —
 plus a web-scale graft layer: H3/S2-style cell encoding, a
 cell-index accelerated point-in-polygon spatial join, kNN, and
 raster↔vector conversion over a Lance-style image+caption table.

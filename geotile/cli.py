@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -24,7 +25,7 @@ def main(argv: list[str] | None = None) -> int:
                         "checkpointed image-tile spatial join (resumable); "
                         "query: run any named battery query over an sf dir")
     p.add_argument("--images", help="[join] input image-table directory of parquet shards")
-    p.add_argument("--query", help="[query] query name from geotile.queries.QUERIES "
+    p.add_argument("--query", help="[query] query name from battery.queries.QUERIES "
                                    "(or 'list' to print the names)")
     p.add_argument("--sf-dir", default="/root/testdata/sf0.001",
                    help="[query] input table directory")
@@ -45,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.mode == "query" and (not args.query or args.query == "list"):
         # listing needs no Ray session
-        from geotile.queries import QUERIES
+        from battery.queries import QUERIES
 
         print(json.dumps({"queries": sorted(QUERIES)}))
         return 0
@@ -69,13 +70,16 @@ def main(argv: list[str] | None = None) -> int:
             if not args.images:
                 p.error("--mode join requires --images DIR")
             from geotile.checkpoint import read_manifests, run_checkpointed
+            from geotile.ops.gtfs import GtfsContext
             from geotile.ops.join import build_route_index, route_buffer_polygons, spatial_join
             from geotile.ops.tiles import JOIN_COLUMNS
-            from geotile.queries import _fixture_ctx
+            from geotile.synth import make_caltrain_fixture
 
-            idx = build_route_index(
-                route_buffer_polygons(_fixture_ctx(), PipelineConfig(coordinate_precision=5))
-            )
+            with tempfile.TemporaryDirectory() as feed:
+                ctx = GtfsContext(make_caltrain_fixture(feed))
+                idx = build_route_index(
+                    route_buffer_polygons(ctx, PipelineConfig(coordinate_precision=5))
+                )
             idx_ref = ray.put(idx)  # ONE broadcast across all partitions
             stats = run_checkpointed(
                 args.images, args.output,
@@ -89,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.mode == "query":
-            from geotile.queries import QUERIES
+            from battery.queries import QUERIES
 
             if args.query not in QUERIES:
                 p.error(f"unknown query {args.query!r} (use --query list)")

@@ -61,10 +61,8 @@ class PipelineConfig:
     # (feed dir or .zip). None → clear offline error when url configs
     # are used (no network in this environment).
     fetcher: object = None
-    # engine knobs (no reference equivalent)
-    cell_resolution: int = 15          # join cell resolution (see geom.cells)
+    # engine knob (no reference equivalent)
     raster_cells_per_radius: int = 8   # raster resolution for buffer/dissolve
-    batch_size: int = 65536
 
     def log(self, msg: str) -> None:
         if self.log_function is not None:

@@ -1,23 +1,15 @@
-"""GeoJSON feature-row model + property/coordinate formatting.
+"""GeoJSON feature dicts + the reference's property/coordinate formatting.
 
-Intermediate representation between Ray Data stages: one Arrow row per
-feature with columns
-
-    file_key   string  output-file grouping key (agency / route_dir / shape)
-    sort_key   int64   deterministic in-file feature order
-    feature_json string  the serialized GeoJSON Feature
-
-Heavy coordinate math happens in numpy BEFORE serialization (in the
-producing ``map_groups``/``map_batches`` stage); these helpers cover the
-reference's formatting semantics:
+The GTFS formats build each feature as a plain dict (``feature``),
+format its properties, simplify and round its coordinates, and
+serialize the FeatureCollection with ``dumps``:
 
 - ``format_properties``  → omit null values, '#'-prefix colors, recurse
   into the nested routes list (reference src/lib/geojson-utils.ts:31-54)
 - ``simplify_feature``   → RDP at 1/10**precision then round, skipping
   simplification for MultiPolygon (reference :119-147); no-op when
   precision is None
-- ``assemble_fc``        → FeatureCollection text (reference
-  featureCollection + JSON.stringify, compact separators)
+- ``dumps``              → compact JSON like JS ``JSON.stringify``
 """
 
 from __future__ import annotations
@@ -77,10 +69,6 @@ def _np_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def assemble_fc(feature_jsons: list[str]) -> str:
-    return '{"type":"FeatureCollection","features":[' + ",".join(feature_jsons) + "]}"
-
-
 # ---------------------------------------------------------------------------
 # simplification / rounding over feature dicts
 # ---------------------------------------------------------------------------
@@ -123,9 +111,3 @@ def simplify_feature(f: dict[str, Any], precision: int | None) -> dict[str, Any]
     coords = _map_arrays(g["coordinates"], _ARRAY_DEPTH[gt], simplify_round)
     out["geometry"] = {**g, "coordinates": coords}
     return out
-
-
-def simplify_feature_json(fj: str, precision: int | None) -> str:
-    if precision is None:
-        return fj
-    return dumps(simplify_feature(json.loads(fj), precision))

@@ -86,20 +86,6 @@ def signed_area(ring: np.ndarray) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def point_segment_distance(
-    px: np.ndarray, py: np.ndarray, x1: float, y1: float, x2: float, y2: float
-) -> np.ndarray:
-    """Vectorized distance from points to one segment."""
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    dx, dy = x2 - x1, y2 - y1
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return np.hypot(px - x1, py - y1)
-    t = np.clip(((px - x1) * dx + (py - y1) * dy) / L2, 0.0, 1.0)
-    return np.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-
-
 def points_to_polyline_distance(
     px: np.ndarray, py: np.ndarray, line: np.ndarray, chunk: int = 1 << 17
 ) -> np.ndarray:

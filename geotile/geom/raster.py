@@ -51,16 +51,6 @@ class Grid:
         return self.y0 + (np.arange(self.ny) + 0.5) * self.step
 
 
-def grid_for_bounds(
-    xmin: float, ymin: float, xmax: float, ymax: float, step: float, pad: float = 0.0
-) -> Grid:
-    x0 = xmin - pad
-    y0 = ymin - pad
-    nx = max(1, int(np.ceil((xmax + pad - x0) / step)) + 1)
-    ny = max(1, int(np.ceil((ymax + pad - y0) / step)) + 1)
-    return Grid(x0, y0, step, nx, ny)
-
-
 def polygon_mask(
     rings: list[np.ndarray], grid: Grid,
     window: tuple[int, int, int, int] | None = None,
@@ -393,36 +383,6 @@ def cells_to_mask(cell_ids: np.ndarray) -> tuple[np.ndarray, Grid, float]:
     return mask, grid, sy
 
 
-# ---------------------------------------------------------------------------
-# distributed marching squares (global lattice)
-#
-# The same segment emitter as trace_mask (_emit_segments), but windows
-# are computed in GLOBAL cell coordinates so edge extraction can run per
-# coarse parent cell on workers (each covered cell contributes its
-# presence bit to the 4 windows that see it) and only the directed
-# contour segments — O(perimeter), not O(area) — travel to the driver.
-# Keys are translation-equal to trace_mask's local keys and both paths
-# chain through chain_ring_keys, so ring order, start nodes and
-# traversal are identical to the in-memory path by construction.
-# ---------------------------------------------------------------------------
-
-def global_key_mult(res: int) -> np.int64:
-    """Packing multiplier for doubled global node coords at ``res``."""
-    return np.int64(2 * (1 << res) + 8)
-
-
-def window_segment_keys(
-    gx: np.ndarray, gy: np.ndarray, case: np.ndarray, res: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Directed contour segments for windows anchored at global cell
-    coords (gx, gy) with marching-squares ``case`` — the same
-    ``_emit_segments`` gather as trace_mask. Returns packed
-    (from_keys, to_keys)."""
-    KM = global_key_mult(res)
-    fx, fy, tx, ty = _emit_segments(gx, gy, case)
-    return (fx + 2) * KM + (fy + 2), (tx + 2) * KM + (ty + 2)
-
-
 def chain_ring_keys(frm: np.ndarray, to: np.ndarray) -> list[np.ndarray]:
     """Chain directed segments into closed rings: each ring starts at its
     smallest key and rings come out in increasing start-key order.
@@ -444,17 +404,6 @@ def chain_ring_keys(frm: np.ndarray, to: np.ndarray) -> list[np.ndarray]:
         ring_keys.append(start)
         rings.append(np.asarray(ring_keys, dtype=np.int64))
     return rings
-
-
-def keys_to_lonlat(keys: np.ndarray, res: int) -> np.ndarray:
-    """Packed doubled-node keys → (lon, lat) ring vertices in degrees."""
-    KM = global_key_mult(res)
-    kx = keys // KM - 2
-    ky = keys % KM - 2
-    dlon, dlat = cellmod.cell_size_degrees(res)
-    lon = -180.0 + (kx / 2.0 + 0.5) * dlon
-    lat = -90.0 + (ky / 2.0 + 0.5) * dlat
-    return np.column_stack([lon, lat])
 
 
 def _interior_point(ring: np.ndarray) -> np.ndarray:

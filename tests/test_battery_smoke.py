@@ -158,7 +158,7 @@ class TestCliQueryMode:
 
 
 def test_every_table_query_runs_on_edge_data(ray_session, edge_sf_dir):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     failures = {}
     for name, fn in QUERIES.items():

@@ -12,7 +12,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from geotile.ops.relational import broadcast_dim, dim_lookup
+from battery.ops.relational import broadcast_dim, dim_lookup
 
 
 def _ds(tbl: pa.Table) -> rd.Dataset:

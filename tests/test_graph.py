@@ -27,7 +27,7 @@ def _cc_brute(edges):
 def _run(ray_session, edges, **kw):
     import ray.data as rd
 
-    from geotile.ops.graph import connected_components
+    from battery.ops.graph import connected_components
 
     t = pa.table(
         {
@@ -85,7 +85,7 @@ def _pr_brute(edges, iters=3, scale=1_000_000, damp=85, den=100):
 class TestPagerankInt:
     def _run(self, edges, **kw):
         import ray.data as rd
-        from geotile.ops.graph import pagerank_int
+        from battery.ops.graph import pagerank_int
 
         ds = rd.from_arrow(
             pa.table(
@@ -131,7 +131,7 @@ class TestTriangleCount:
 
         import ray.data as rd
 
-        from geotile.ops.graph import triangle_count
+        from battery.ops.graph import triangle_count
 
         rng = np.random.default_rng(11)
         n = 40
@@ -157,7 +157,7 @@ class TestTriangleCount:
     def test_empty_and_triangle_free(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.graph import triangle_count
+        from battery.ops.graph import triangle_count
 
         empty = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
                                         "b": pa.array([], pa.int64())}))
@@ -174,7 +174,7 @@ class TestBfsLevels:
 
         import ray.data as rd
 
-        from geotile.ops.graph import bfs_levels
+        from battery.ops.graph import bfs_levels
 
         rng = np.random.default_rng(23)
         n = 60
@@ -207,7 +207,7 @@ class TestBfsLevels:
     def test_no_edges_returns_seeds(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.graph import bfs_levels
+        from battery.ops.graph import bfs_levels
 
         e = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
                                     "b": pa.array([], pa.int64())}))

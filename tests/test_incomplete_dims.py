@@ -110,7 +110,7 @@ def _cmp(name, got, sql, broken_sf):
 
 
 def test_cust_nation_orders_drops_orphan_custkey(ray_session, broken_sf):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["cust_nation_orders"](broken_sf)
     # orphan custkey 3 must be ABSENT, not mismapped onto custkey 4
@@ -121,7 +121,7 @@ def test_cust_nation_orders_drops_orphan_custkey(ray_session, broken_sf):
 
 
 def test_brand_revenue_drops_orphan_partkey(ray_session, broken_sf):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["broadcast_join_brand_revenue"](broken_sf)
     _cmp("broadcast_join_brand_revenue", got,
@@ -129,7 +129,7 @@ def test_brand_revenue_drops_orphan_partkey(ray_session, broken_sf):
 
 
 def test_left_join_keeps_every_customer(ray_session, broken_sf):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["left_join_customer_orders"](broken_sf)
     df = got.to_pandas()
@@ -141,7 +141,7 @@ def test_left_join_keeps_every_customer(ray_session, broken_sf):
 
 
 def test_nation_pair_revenue_drops_orphan_lineitems(ray_session, broken_sf):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     # needs supplier: write a one-supplier dim into the fixture
     import pathlib

@@ -8,6 +8,7 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
+from battery.ops.images import ImageDecodeStage, ImageResizeStage
 from geotile.config import PipelineConfig
 from geotile.geom.buffer import meter_frame
 from geotile.geom.pip import points_in_polygon, points_to_polyline_distance
@@ -21,7 +22,7 @@ from geotile.ops.join import (
     route_polylines,
     spatial_join,
 )
-from geotile.ops.tiles import JOIN_COLUMNS, ImageDecodeStage, ImageResizeStage, read_image_table
+from geotile.ops.tiles import JOIN_COLUMNS, read_image_table
 from geotile.synth import N_STOPS, tile_centers
 
 N_IMG = 2000
@@ -195,7 +196,7 @@ class TestCellCounts:
 class TestDissolveTiles:
     def test_cell_union_matches_oracle(self, ray_session, image_table_dir):
         from geotile.geom import cells as cellmod
-        from geotile.ops.join import dissolve_tile_footprints
+        from battery.ops.dissolve import dissolve_tile_footprints
         from geotile.synth import tile_footprints
 
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
@@ -341,6 +342,23 @@ class TestFcAssembly:
             assert r["fc_json"].encode() == w["fc_json"].encode()
             assert (r["n_tiles"], r["truncated"]) == (w["n_tiles"], w["truncated"])
 
+    def test_every_c0_character_round_trips(self):
+        """A caption holding any of the 32 C0 control characters (or all
+        of them) comes back from ``json.loads(fc_json)`` unchanged."""
+        import pyarrow as pa
+
+        from geotile.ops.join import _route_fcs
+
+        caps = [f"c{c:02d}{chr(c)}end" for c in range(32)] + ["".join(map(chr, range(32)))]
+        n = len(caps)
+        t = pa.table({
+            "image_id": [f"img-{i:08d}" for i in range(n)], "caption": caps,
+            "lon": np.full(n, -122.3), "lat": np.full(n, 37.6),
+            "cell": np.arange(n, dtype=np.int64), "route_id": ["R"] * n,
+        })
+        fc = json.loads(_route_fcs(t)["fc_json"][0].as_py())
+        assert [f["properties"]["caption"] for f in fc["features"]] == caps
+
     def test_feature_cap(self, monkeypatch):
         """Past ``FC_MAX_FEATURES`` a route keeps its lowest image ids and
         reports its true ``n_tiles`` and ``truncated``; a shorter route
@@ -391,7 +409,7 @@ class TestImageStages:
         assert out.phash_ok.all()
 
     def test_embed_stage(self, ray_session, image_table_dir):
-        from geotile.ops.tiles import ImageEmbedStage
+        from battery.ops.images import ImageEmbedStage
 
         ds = read_image_table(str(image_table_dir)).limit(64)
         out = ds.map_batches(
@@ -410,7 +428,7 @@ class TestImageStages:
         assert np.allclose(M, np.array(out2.embedding.tolist()))
 
     def test_frame_sample_stub(self, ray_session, image_table_dir):
-        from geotile.ops.tiles import FrameSampleStage
+        from battery.ops.images import FrameSampleStage
 
         ds = read_image_table(str(image_table_dir)).limit(16)
         out = ds.map_batches(
@@ -841,7 +859,7 @@ class TestStreamedDissolve:
         same polygon count, ring order, vertex counts, and vertices."""
         from geotile.geom import cells as cellmod
         from geotile.geom.raster import cells_to_mask, mask_to_polygons
-        from geotile.ops.join import dissolve_tile_footprints
+        from battery.ops.dissolve import dissolve_tile_footprints
 
         ds = read_image_table(str(image_table_dir), columns=JOIN_COLUMNS)
         covered, polys = dissolve_tile_footprints(ds)
@@ -973,6 +991,7 @@ class TestEngineImports:
             "import numpy as np\n"
             "import pyarrow as pa\n"
             "import geotile.ops.join as J\n"
+            "from battery.ops.dissolve import _footprint_cells\n"
             "from geotile.ops.tiles import georef_batch\n"
             "ids = ['img-00000001', 'img-00000002', 'img-00000003']\n"
             "t = pa.table({'image_id': ids, 'caption': ['x', 'y', 'z'],\n"
@@ -982,13 +1001,13 @@ class TestEngineImports:
             "joined = J.SpatialJoinStage(J.build_route_index({'R': [(sq, [])]}))(t)\n"
             "assert joined['image_id'].to_pylist() == ids[:2]\n"
             "assert J._partial_cell_counts(t)['n'].to_pylist() != []\n"
-            "assert J._footprint_cells(t, 18).num_rows >= 3\n"
+            "assert _footprint_cells(t, 18).num_rows >= 3\n"
             "assert J._route_fcs(joined).num_rows == 1\n"
             "import ray, ray.data as rd\n"
             "ray.init(address='local', num_cpus=1, include_dashboard=False, logging_level='ERROR')\n"
             "assert len(J.assemble_route_fcs(rd.from_arrow(joined)).take_all()) == 1\n"
             "ray.shutdown()\n"
-            "for m in ('geotile.synth', 'geotile.ops.hashing'):\n"
+            "for m in ('geotile.synth', 'battery.ops.hashing'):\n"
             "    assert m not in sys.modules, f'a join stage imported {m}'\n"
         )
         root = Path(__file__).resolve().parents[1]

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_rank_gap_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["percentile_mismatch_customers"](SF)
     exp = con.execute(ORACLE_SQL["percentile_mismatch_customers"]).df()
@@ -47,7 +47,7 @@ def test_rank_gap_oracle(ray_session, con):
 
 def test_rank_gap_invariants(ray_session, con):
     """Ranks live in [0, n_cust); gap recomputes from the two ranks."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["percentile_mismatch_customers"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -60,7 +60,7 @@ def test_rank_gap_invariants(ray_session, con):
 
 
 def test_fano_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["fano_factor_types"](SF)
     exp = con.execute(ORACLE_SQL["fano_factor_types"]).df()
@@ -70,7 +70,7 @@ def test_fano_oracle(ray_session, con):
 def test_fano_invariants(ray_session, con):
     """Event totals conserve; var_num >= 0 (Cauchy-Schwarz);
     sum_sq >= n_events with equality iff every minute has one."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["fano_factor_types"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -82,7 +82,7 @@ def test_fano_invariants(ray_session, con):
 
 
 def test_lz78_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _lz78_sql
+    from battery.queries import QUERIES, _lz78_sql
 
     got = QUERIES["lz78_parse_sources"](SF)
     exp = con.execute(_lz78_sql(SF)).df()
@@ -92,7 +92,7 @@ def test_lz78_oracle(ray_session, con):
 def test_lz78_invariants(ray_session, con):
     """Doc/char totals match the table; phrase count is positive for
     non-empty text and never exceeds chars."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["lz78_parse_sources"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -107,7 +107,7 @@ def test_lz78_invariants(ray_session, con):
 def test_lz78_known_strings():
     """Hand-parsed fixtures: 'aaaa' -> a|aa|a = 3 phrases (trailing
     partial counts); 'abcd' -> 4; repetitive beats random."""
-    from geotile.queries import _lz78_phrase_count
+    from battery.queries import _lz78_phrase_count
 
     assert _lz78_phrase_count("") == 0
     assert _lz78_phrase_count("aaaa") == 3

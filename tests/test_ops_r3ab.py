@@ -39,7 +39,7 @@ def _compare(name, got, exp):
 
 
 def test_eulerian_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _eulerian_sql
+    from battery.queries import QUERIES, _eulerian_sql
 
     got = QUERIES["eulerian_audit_routes"](SF)
     exp = con.execute(_eulerian_sql()).df()
@@ -49,7 +49,7 @@ def test_eulerian_oracle(ray_session, con):
 def test_eulerian_invariants(ray_session):
     """Handshake lemma: odd-degree count is even; a pure path route
     (every fixture has linear trips) shows n_odd in {0, 2}."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["eulerian_audit_routes"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -61,7 +61,7 @@ def test_eulerian_invariants(ray_session):
 
 
 def test_substrings_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _substr_sql
+    from battery.queries import QUERIES, _substr_sql
 
     got = QUERIES["distinct_substrings_docs"](SF)
     exp = con.execute(_substr_sql(SF)).df()
@@ -71,7 +71,7 @@ def test_substrings_oracle(ray_session, con):
 def test_substrings_brute_force():
     """Suffix automaton agrees with the set-of-substrings brute force
     on assorted strings, including repetitive and unicode."""
-    from geotile.queries import _distinct_substring_count
+    from battery.queries import _distinct_substring_count
 
     for s in ("", "a", "aaa", "abab", "abcabc", "mississippi",
               "héllo héllo", "xyzzy plugh", "ab" * 20):
@@ -83,7 +83,7 @@ def test_substrings_brute_force():
 def test_substrings_invariants(ray_session, con):
     """Σ substrings per source bounded by Σ n·(n+1)/2 over its docs;
     doc/char totals conserve."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["distinct_substrings_docs"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -99,7 +99,7 @@ def test_substrings_invariants(ray_session, con):
 
 
 def test_hash_load_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["hash_bucket_load_orders"](SF)
     exp = con.execute(ORACLE_SQL["hash_bucket_load_orders"]).df()
@@ -109,7 +109,7 @@ def test_hash_load_oracle(ray_session, con):
 def test_hash_load_invariants(ray_session, con):
     """Bucket and ball conservation: Σ n_buckets = 4096 and
     Σ load·n_buckets = row count of orders."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["hash_bucket_load_orders"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -121,7 +121,7 @@ def test_hash_load_invariants(ray_session, con):
 def test_splitmix_sql_expr_bit_exact(con):
     """The pure-SQL splitmix64 agrees with the numpy implementation
     bit-for-bit over a key sweep."""
-    from geotile.queries import _splitmix_sql_expr
+    from battery.queries import _splitmix_sql_expr
     from geotile.synth import splitmix64
 
     rows = con.execute(

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_gcd_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["pack_size_gcd_parts"](SF)
     exp = con.execute(ORACLE_SQL["pack_size_gcd_parts"]).df()
@@ -47,7 +47,7 @@ def test_gcd_oracle(ray_session, con):
 
 def test_gcd_conservation(ray_session, con):
     """Every shipped part classified exactly once; gcd >= 1."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["pack_size_gcd_parts"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -68,7 +68,7 @@ def test_gcd_synthetic_packs(ray_session, tmp_path):
     t = pa.table({"l_partkey": pa.array([1, 1, 1, 2, 2], pa.int64()),
                   "l_quantity": pa.array([6.0, 12.0, 18.0, 5.0, 10.0])})
     pq.write_table(t, d / "lineitem.parquet")
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["pack_size_gcd_parts"](str(d))
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -77,7 +77,7 @@ def test_gcd_synthetic_packs(ray_session, tmp_path):
 
 
 def test_simpson_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["simpson_strata_brands"](SF)
     exp = con.execute(ORACLE_SQL["simpson_strata_brands"]).df()
@@ -87,7 +87,7 @@ def test_simpson_oracle(ray_session, con):
 def test_simpson_pooled_is_sum(ray_session):
     """The ALL row's moments are the column sums of the strata; the
     sign column matches the decimal numerator's sign."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["simpson_strata_brands"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -103,7 +103,7 @@ def test_simpson_pooled_is_sum(ray_session):
 
 
 def test_bridges_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _bridges_sql
+    from battery.queries import QUERIES, _bridges_sql
 
     got = QUERIES["bridges_dups"](SF)
     exp = con.execute(_bridges_sql(SF)).df()
@@ -113,7 +113,7 @@ def test_bridges_oracle(ray_session, con):
 def test_bridges_known_graphs():
     """Path, cycle, barbell, star — textbook bridge/articulation
     counts."""
-    from geotile.queries import _bridges_articulation
+    from battery.queries import _bridges_articulation
 
     assert _bridges_articulation([(1, 2), (2, 3)]) == (3, 2, 2, 1)
     assert _bridges_articulation(
@@ -128,7 +128,7 @@ def test_bridges_known_graphs():
 
 
 def test_bridges_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["bridges_dups"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

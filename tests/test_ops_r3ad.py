@@ -37,7 +37,7 @@ def _compare(name, got, exp):
 
 
 def test_predictor_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _predictor_sql)
 
     got = QUERIES["audio_predictor_order_audit"](SF)
@@ -48,7 +48,7 @@ def test_predictor_oracle(ray_session, con):
 def test_predictor_invariants(ray_session):
     """best_order consistent with the two sums; both sums bounded by
     n·2^17 (max |residual| for 16-bit samples is 2·65535)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["audio_predictor_order_audit"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -60,7 +60,7 @@ def test_predictor_invariants(ray_session):
 
 
 def test_rle_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["rle_sort_benefit_lineitem"](SF)
     exp = con.execute(ORACLE_SQL["rle_sort_benefit_lineitem"]).df()
@@ -70,7 +70,7 @@ def test_rle_oracle(ray_session, con):
 def test_rle_bounds(ray_session, con):
     """Run counts live in [n_distinct_flags, n_rows] and time order
     never exceeds the row count."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["rle_sort_benefit_lineitem"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -85,7 +85,7 @@ def test_rle_bounds(ray_session, con):
 def test_rle_deterministic(ray_session):
     """Two runs agree exactly — the tie-break makes the order total
     despite full-row duplicates in the synth data."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     a = QUERIES["rle_sort_benefit_lineitem"](SF)
     b = QUERIES["rle_sort_benefit_lineitem"](SF)
@@ -93,7 +93,7 @@ def test_rle_deterministic(ray_session):
 
 
 def test_service_span_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _service_span_sql
+    from battery.queries import QUERIES, _service_span_sql
 
     got = QUERIES["stop_service_span"](SF)
     exp = con.execute(_service_span_sql()).df()
@@ -101,7 +101,7 @@ def test_service_span_oracle(ray_session, con):
 
 
 def test_service_span_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["stop_service_span"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

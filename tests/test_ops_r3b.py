@@ -55,7 +55,7 @@ def _brute_tfidf(df, k=5):
 class TestTfidf:
     @pytest.mark.parametrize("max_broadcast", [1 << 22, 0])  # fast + scale path
     def test_matches_brute_force(self, ray_session, max_broadcast):
-        from geotile.ops.text import tfidf_top_terms
+        from battery.ops.text import tfidf_top_terms
 
         df = _docs_df(np.random.default_rng(11))
         got = (
@@ -76,7 +76,7 @@ class TestTfidf:
     def test_df_one_terms_score_via_miss_default(self, ray_session):
         # a token unique to one doc is absent from the pruned broadcast
         # vocab; the df=1 miss default must still score it (highest idf)
-        from geotile.ops.text import tfidf_top_terms
+        from battery.ops.text import tfidf_top_terms
 
         df = pd.DataFrame(
             {
@@ -112,7 +112,7 @@ class TestDupNgramSpans:
         ).sort_values("doc_id").reset_index(drop=True)
 
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.dedup import dup_ngram_spans
+        from battery.ops.dedup import dup_ngram_spans
 
         rng = np.random.default_rng(3)
         vocab = ["a", "b", "c", "d"]
@@ -136,7 +136,7 @@ class TestDupNgramSpans:
         assert {7, 9, 11} <= set(flagged)
 
     def test_short_docs_emit_nothing(self, ray_session):
-        from geotile.ops.dedup import dup_ngram_spans
+        from battery.ops.dedup import dup_ngram_spans
 
         df = pd.DataFrame(
             {"doc_id": np.array([0, 1], dtype=np.int64),
@@ -149,7 +149,7 @@ class TestDupNgramSpans:
 
 class TestRollupAggregate:
     def test_matches_pandas_levels(self, ray_session):
-        from geotile.ops.relational import rollup_aggregate
+        from battery.ops.relational import rollup_aggregate
 
         rng = np.random.default_rng(13)
         n = 500
@@ -191,7 +191,7 @@ class TestRollupAggregate:
         pd.testing.assert_frame_equal(got, want)
 
     def test_single_key(self, ray_session):
-        from geotile.ops.relational import rollup_aggregate
+        from battery.ops.relational import rollup_aggregate
 
         df = pd.DataFrame(
             {"k": ["x", "x", "y"], "v": np.array([1, 2, 4], np.int64)}
@@ -208,7 +208,7 @@ class TestRollupAggregate:
 
 class TestGroupedRolling:
     def test_matches_pandas_window(self, ray_session):
-        from geotile.ops.relational import grouped_rolling
+        from battery.ops.relational import grouped_rolling
 
         rng = np.random.default_rng(5)
         n = 800
@@ -246,7 +246,7 @@ class TestGroupedRolling:
             np.testing.assert_array_equal(got[c].to_numpy(), w[c].to_numpy())
 
     def test_single_row_groups(self, ray_session):
-        from geotile.ops.relational import grouped_rolling
+        from battery.ops.relational import grouped_rolling
 
         df = pd.DataFrame(
             {
@@ -267,7 +267,7 @@ class TestGroupedRolling:
 
 class TestFunnel:
     def test_matches_brute_force_with_ties(self, ray_session):
-        from geotile.queries import q_funnel_users
+        from battery.queries import q_funnel_users
 
         rng = np.random.default_rng(41)
         n = 1500
@@ -315,7 +315,7 @@ class TestFunnel:
 class TestHammingPairs:
     @pytest.mark.parametrize("max_h", [1, 3])
     def test_exact_vs_brute_force(self, ray_session, max_h):
-        from geotile.ops.dedup import hamming_pairs
+        from battery.ops.dedup import hamming_pairs
 
         rng = np.random.default_rng(31)
         n = 300
@@ -350,7 +350,7 @@ class TestHammingPairs:
 class TestQuantilesCont:
     @pytest.mark.parametrize("n", [1, 2, 101, 5000])
     def test_matches_sorted_brackets(self, ray_session, n):
-        from geotile.ops.quantile import quantiles_cont
+        from battery.ops.quantile import quantiles_cont
 
         rng = np.random.default_rng(n)
         v = np.round(rng.normal(0, 50, n), 2)
@@ -376,7 +376,7 @@ class TestGroupedNtile:
     def test_matches_duckdb_ntile(self, ray_session):
         import duckdb
 
-        from geotile.ops.relational import grouped_ntile
+        from battery.ops.relational import grouped_ntile
 
         rng = np.random.default_rng(17)
         n = 700
@@ -405,7 +405,7 @@ class TestGroupedNtile:
         )
 
     def test_small_groups_one_row_per_tile(self, ray_session):
-        from geotile.ops.relational import grouped_ntile
+        from battery.ops.relational import grouped_ntile
 
         # a 2-row key with 4 tiles: rows land in tiles 1 and 2
         df = pd.DataFrame(
@@ -433,7 +433,7 @@ class TestBatchTermFreqsProperty:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        from geotile.ops.text import _batch_term_freqs
+        from battery.ops.text import _batch_term_freqs
 
         token = st.text(
             alphabet=st.characters(
@@ -467,7 +467,7 @@ class TestHllGrouped:
     def test_equals_per_group_global_sketch(self, ray_session):
         # register max is associative: the grouped sketch must equal the
         # global sketch run on each group's sub-stream, bit-exactly
-        from geotile.ops.sketch import hll_distinct, hll_distinct_grouped
+        from battery.ops.sketch import hll_distinct, hll_distinct_grouped
 
         rng = np.random.default_rng(21)
         n = 4000
@@ -491,7 +491,7 @@ class TestHllGrouped:
 
 class TestBucketedJoinOuter:
     def test_full_outer_matches_pandas(self, ray_session):
-        from geotile.ops.relational import bucketed_join
+        from battery.ops.relational import bucketed_join
 
         rng = np.random.default_rng(9)
         l = pd.DataFrame(
@@ -528,7 +528,7 @@ class TestBucketedJoinOuter:
 
     def test_left_join_empty_right_bucket_unchanged(self, ray_session):
         # regression guard: the outer fix must not change left semantics
-        from geotile.ops.relational import bucketed_join
+        from battery.ops.relational import bucketed_join
 
         l = pd.DataFrame({"lk": np.array([1, 2], np.int64),
                           "lv": np.array([10, 20], np.int64)})

@@ -29,7 +29,7 @@ def _brute_skyline(p, d):
 
 class TestSkylineMask:
     def test_matches_brute_force_random(self):
-        from geotile.ops.relational import _skyline_mask
+        from battery.ops.relational import _skyline_mask
 
         rng = np.random.default_rng(11)
         for trial in range(20):
@@ -42,7 +42,7 @@ class TestSkylineMask:
             np.testing.assert_array_equal(got, want)
 
     def test_duplicate_points_all_survive(self):
-        from geotile.ops.relational import _skyline_mask
+        from battery.ops.relational import _skyline_mask
 
         p = np.array([5.0, 5.0, 1.0])
         d = np.array([2, 2, 1], dtype=np.int64)
@@ -53,7 +53,7 @@ class TestSkylineMask:
         )
 
     def test_equal_price_worse_date_dominated(self):
-        from geotile.ops.relational import _skyline_mask
+        from battery.ops.relational import _skyline_mask
 
         p = np.array([5.0, 5.0])
         d = np.array([1, 2], dtype=np.int64)
@@ -62,7 +62,7 @@ class TestSkylineMask:
         )
 
     def test_higher_price_equal_date_dominates(self):
-        from geotile.ops.relational import _skyline_mask
+        from battery.ops.relational import _skyline_mask
 
         p = np.array([5.0, 4.0])
         d = np.array([1, 1], dtype=np.int64)
@@ -71,7 +71,7 @@ class TestSkylineMask:
         )
 
     def test_empty_and_single(self):
-        from geotile.ops.relational import _skyline_mask
+        from battery.ops.relational import _skyline_mask
 
         assert _skyline_mask(np.array([]), np.array([], dtype=np.int64)).size == 0
         np.testing.assert_array_equal(
@@ -82,7 +82,7 @@ class TestSkylineMask:
 
 class TestSkylineDistributed:
     def test_matches_brute_force_across_blocks(self, ray_session):
-        from geotile.ops.relational import skyline
+        from battery.ops.relational import skyline
 
         rng = np.random.default_rng(23)
         n = 500
@@ -103,7 +103,7 @@ class TestSkylineDistributed:
 
 class TestCubeAggregate:
     def test_matches_pandas_cube(self, ray_session):
-        from geotile.ops.relational import cube_aggregate
+        from battery.ops.relational import cube_aggregate
 
         rng = np.random.default_rng(5)
         n = 400
@@ -144,7 +144,7 @@ class TestCubeAggregate:
         )
 
     def test_empty_input(self, ray_session):
-        from geotile.ops.relational import cube_aggregate
+        from battery.ops.relational import cube_aggregate
 
         df = pd.DataFrame(
             {"a": pd.Series(dtype=str), "b": pd.Series(dtype=str),
@@ -190,7 +190,7 @@ def _km_brute(ids, V, k, iters):
 class TestKmeansLloyd:
     def _run(self, ids, V, **kw):
         import ray.data as rd
-        from geotile.ops.ann import kmeans_lloyd
+        from battery.ops.ann import kmeans_lloyd
 
         ds = rd.from_arrow(
             pa.table(
@@ -262,7 +262,7 @@ class TestLookupJoin:
 
     @pytest.mark.parametrize("max_broadcast", [1 << 20, 1])  # both paths
     def test_matches_pandas_merge(self, ray_session, max_broadcast):
-        from geotile.ops.relational import lookup_join
+        from battery.ops.relational import lookup_join
 
         fact, dim, want = self._data()
         got = (
@@ -281,7 +281,7 @@ class TestLookupJoin:
         pd.testing.assert_frame_equal(got, want)
 
     def test_empty_dim_drops_everything(self, ray_session):
-        from geotile.ops.relational import lookup_join
+        from battery.ops.relational import lookup_join
 
         fact, _, _ = self._data()
         dim = pd.DataFrame(

@@ -11,8 +11,8 @@ SF = "/root/testdata/sf0.001"
 
 
 def test_hilbert_scalar_vs_vectorized():
-    from geotile.geom.hilbert import hilbert_xy2d
-    from geotile.oracle_ref import hilbert_xy2d as h_ref
+    from battery.geom.hilbert import hilbert_xy2d
+    from battery.oracle_ref import hilbert_xy2d as h_ref
 
     rng = np.random.default_rng(3)
     for order in (4, 9, 16):
@@ -30,7 +30,7 @@ def test_hilbert_is_a_bijective_neighbor_walk():
     codes are a permutation of [0, 4^order) and consecutive codes map
     to 4-adjacent cells (Manhattan distance exactly 1) — Morton fails
     this, Hilbert must satisfy it everywhere."""
-    from geotile.geom.hilbert import hilbert_xy2d
+    from battery.geom.hilbert import hilbert_xy2d
 
     order = 5
     n = 1 << order
@@ -46,7 +46,7 @@ def test_hilbert_is_a_bijective_neighbor_walk():
 
 def test_rdp_scalar_replay_matches_vectorized():
     from geotile.geom.rdp import rdp
-    from geotile.oracle_ref import rdp_keep_count
+    from battery.oracle_ref import rdp_keep_count
 
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -60,7 +60,7 @@ def test_rdp_scalar_replay_matches_vectorized():
 def test_rdp_retention_monotone_in_eps(ray_session):
     """More tolerance can never KEEP more vertices; every shape keeps
     at least its two endpoints."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["rdp_retention_shapes"](SF).to_pandas()
     assert (df["n_kept"] >= 2).all()
@@ -73,7 +73,7 @@ def test_sinuosity_path_at_least_chord(ray_session):
     """Triangle inequality on the lattice: n·path_d2 ≥ chord_d2 (by
     Cauchy–Schwarz over the segment decomposition); a straight 2-point
     shape has path_d2 == chord_d2."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["route_sinuosity_parts"](SF).to_pandas()
     assert len(df) > 0
@@ -85,7 +85,7 @@ def test_hilbert_runs_never_worse_than_cells(ray_session):
     """Run counts are in [1, n_cells] for non-empty rects, and the
     whole-ROI rect (rect 0) sees every occupied cell of the two
     sub-rects."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["hilbert_range_counts"](SF)
     full = df[df.rect_id == 0].iloc[0]
@@ -101,7 +101,7 @@ def test_kmv_exact_below_k(ray_session):
     """Distinct users below K ⇒ KMV returns the exact count."""
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["kmv_distinct_users"](SF)
     exact = duckdb.sql(
@@ -120,7 +120,7 @@ def test_snm_matches_single_node_replay(ray_session):
     boundary-stitch decomposition loses/invents nothing."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import _SNM_KEYLEN, _SNM_W, QUERIES
+    from battery.queries import _SNM_KEYLEN, _SNM_W, QUERIES
 
     t = pq.read_table(f"{SF}/documents.parquet",
                       columns=["doc_id", "text"]).to_pandas()
@@ -139,8 +139,8 @@ def test_snm_matches_single_node_replay(ray_session):
 
 def test_cn_scores_exclude_edges(ray_session):
     """No predicted pair may already be an edge; every score ≥ 1."""
-    from geotile.ops.dedup import embedding_dup_pairs
-    from geotile.queries import QUERIES, _read
+    from battery.ops.dedup import embedding_dup_pairs
+    from battery.queries import QUERIES, _read
 
     got = QUERIES["cn_link_prediction_dups"](SF)
     rows = got.take_all() if hasattr(got, "take_all") else \
@@ -157,7 +157,7 @@ def test_rle_runs_bounds(ray_session):
     """Runs per image ∈ [h, w·h]; max_run ∈ [1, w]; a constant image
     synthesized inline decomposes to exactly h runs of length w (checked
     against the scalar logic in the sidecar builder's inner loop)."""
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
     import pyarrow.parquet as pq
     import glob
 
@@ -180,7 +180,7 @@ def test_mmr_first_pick_is_pure_relevance(ray_session):
     and every pick must be distinct."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import _MMR_SALT, QUERIES
+    from battery.queries import _MMR_SALT, QUERIES
     from geotile.synth import splitmix64
 
     df = QUERIES["mmr_topk_embeddings"](SF)
@@ -206,8 +206,8 @@ def test_mmr_first_pick_is_pure_relevance(ray_session):
 def test_audio_decimate_energy_bounds(ray_session):
     """Decimated energy obeys Cauchy–Schwarz vs the raw frame-energy
     ledger: (Σ₄ s)² ≤ 4·Σ₄ s², so energy ≤ 4·(raw track energy)."""
-    from geotile.ops.audio import AudioFrameStage, read_audio_table
-    from geotile.queries import QUERIES, _audio_dir_for
+    from battery.ops.audio import AudioFrameStage, read_audio_table
+    from battery.queries import QUERIES, _audio_dir_for
 
     df = QUERIES["audio_decimate_tracks"](SF).to_pandas() \
         if hasattr(QUERIES["audio_decimate_tracks"](SF), "to_pandas") \
@@ -228,7 +228,7 @@ def test_route_headways_invariants(ray_session):
     """Every (route, direction, stop) sees ≥1 visit; gap aggregates
     are consistent (min ≤ max, sum ≥ (n−1)·min) and non-negative
     (GTFS clock strings are monotone within a service day here)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["route_headways"](SF).to_pandas()
     assert len(df) > 0
@@ -245,7 +245,7 @@ def test_route_headways_invariants(ray_session):
 def test_blob_geometry_consistent_with_sizes(ray_session):
     """blob_size must equal largest_blob_images' top size; the bbox
     must contain the centroid (x0·size ≤ cx_num ≤ x1·size)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     geo = QUERIES["blob_geometry_images"](SF).to_pandas() \
         .set_index("image_id")
@@ -263,7 +263,7 @@ def test_blob_geometry_consistent_with_sizes(ray_session):
 
 def test_kendall_bounds(ray_session):
     """|S| is bounded by the number of day pairs C(n,2)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["kendall_nation_pairs"](SF)
     assert len(df) == 3
@@ -274,7 +274,7 @@ def test_kendall_bounds(ray_session):
 def test_geohash_reference_vectors(ray_session):
     """The vectorized encode must reproduce PUBLISHED geohash strings
     (geohash.org reference points), not merely self-agree."""
-    from geotile.queries import _GH_ALPHABET
+    from battery.queries import _GH_ALPHABET
 
     def encode6(lon, lat):
         n = 1 << 15
@@ -300,7 +300,7 @@ def test_geohash_counts_conserve_rows(ray_session):
 
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     df = QUERIES["geohash_cell_counts"](SF).to_pandas()
     total = sum(pq.read_metadata(f).num_rows for f in glob.glob(
@@ -312,7 +312,7 @@ def test_geohash_counts_conserve_rows(ray_session):
 
 
 def test_dilation_grows_but_bounded(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["dilation_area_images"](SF).to_pandas()
     assert (df["area_dilated"] >= df["area"]).all()
@@ -321,7 +321,7 @@ def test_dilation_grows_but_bounded(ray_session):
 
 
 def test_q20_gate_is_strict(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["excess_suppliers_q20"](SF)
     rows = got.take_all() if hasattr(got, "take_all") else \
@@ -337,7 +337,7 @@ def test_interp_fill_is_linear_and_interior(ray_session):
     the convexity bound min(v0,v1)·den ≤ num ≤ max(v0,v1)·den)."""
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["interp_fill_daily_users"](SF).take_all()
     obs = duckdb.sql(f"""
@@ -367,7 +367,7 @@ def test_interp_fill_is_linear_and_interior(ray_session):
 def test_threshold_sweep_monotone(ray_session):
     """Raising tau can only REMOVE edges/nodes, never grow the largest
     component."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["component_threshold_sweep_dups"](SF)
     assert (np.diff(df["n_edges"].to_numpy()) <= 0).all()
@@ -383,7 +383,7 @@ def test_route_coverage_deciles_conserve_tiles(ray_session):
 
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     df = QUERIES["route_coverage_deciles"](SF)
     total = sum(pq.read_metadata(f).num_rows for f in glob.glob(
@@ -394,7 +394,7 @@ def test_route_coverage_deciles_conserve_tiles(ray_session):
 
 
 def test_majority_baseline_bounds(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["next_type_majority_accuracy"](SF)
     assert (df["n_hit"] <= df["n_test"]).all()
@@ -404,7 +404,7 @@ def test_majority_baseline_bounds(ray_session):
 def test_contamination_bounds_and_split(ray_session):
     """Only test-split docs appear; n_seen ≤ n_bigrams; doc ids obey
     the Knuth-hash test assignment (b ≥ 95)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     rows = QUERIES["test_contamination_docs"](SF).take_all()
     assert rows
@@ -415,7 +415,7 @@ def test_contamination_bounds_and_split(ray_session):
 
 
 def test_quota_allocation_sums_to_budget(ray_session):
-    from geotile.queries import _QUOTA_BUDGET, QUERIES
+    from battery.queries import _QUOTA_BUDGET, QUERIES
 
     df = QUERIES["quota_allocation_sources"](SF)
     assert df["final_alloc"].sum() == _QUOTA_BUDGET
@@ -428,7 +428,7 @@ def test_quota_allocation_sums_to_budget(ray_session):
 
 
 def test_snm_recall_consistent(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["snm_recall_audit"](SF)
     r = df.iloc[0]
@@ -440,7 +440,7 @@ def test_dim_median_is_an_element(ray_session):
     dimension (order statistic, never an average)."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["dim_median_embeddings"](SF).to_pandas()
     V = np.stack(pq.read_table(
@@ -457,7 +457,7 @@ def test_dim_median_is_an_element(ray_session):
 def test_dispersion_classes_partition_users(ray_session):
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["dispersion_class_users"](SF)
     n_multi = duckdb.sql(f"""
@@ -471,7 +471,7 @@ def test_dispersion_classes_partition_users(ray_session):
 def test_int8_quant_error_bound(ray_session):
     """|x − q·s| ≤ s/2 per element when unsaturated ⇒ per-dim total
     error ≤ n·(s+1)/2; saturation only possible at code boundary."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     rows = QUERIES["int8_quant_audit_embeddings"](SF).take_all()
     import pyarrow.parquet as pq
@@ -487,7 +487,7 @@ def test_proj_profile_matches_numpy(ray_session):
     """Engine peaks equal a direct numpy recomputation from the synth
     pixel generator (independent of the decode path)."""
     import geotile.synth as sy
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["proj_profile_images"](SF).to_pandas()
     samp = df.head(16)
@@ -502,7 +502,7 @@ def test_proj_profile_matches_numpy(ray_session):
 
 
 def test_sentence_stats_mass_conserved(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["sentence_stats_docs"](SF).to_pandas()
     assert (df["n_sentences"] <= df["n_frags"]).all()
@@ -512,7 +512,7 @@ def test_sentence_stats_mass_conserved(ray_session):
 def test_rbo_bounds(ray_session):
     """0 ≤ RBO ≤ 1, i.e. 0 ≤ num ≤ den; and self-comparison sanity:
     den equals the identical-ranking numerator."""
-    from geotile.queries import QUERIES, _RBO_D
+    from battery.queries import QUERIES, _RBO_D
 
     df = QUERIES["rbo_nation_rankings"](SF)
     num, den = int(df["rbo_num"][0]), int(df["rbo_den"][0])
@@ -528,7 +528,7 @@ def test_lbp_histogram_conserves_interior(ray_session):
 
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     df = QUERIES["lbp_texture_images"](SF).to_pandas()
     img = _image_dir_for(SF)
@@ -546,7 +546,7 @@ def test_lbp_histogram_conserves_interior(ray_session):
 def test_line_trend_partitions_multiline_orders(ray_session):
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["line_price_trend_orders"](SF)
     n_multi = duckdb.sql(f"""
@@ -560,7 +560,7 @@ def test_route_pair_dist_symmetric_bound(ray_session):
     """Vertex-sampled separation: d(A→B) and d(B→A) are both ≥ the
     true separation, and both directions exist for every shaped
     route pair; values are finite and non-negative."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["route_pair_min_vertex_dist"](SF)
     assert len(df) >= 2 and len(df) % 2 == 0
@@ -578,7 +578,7 @@ def test_seam_cost_bounds(ray_session):
 
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     df = QUERIES["seam_energy_images"](SF).to_pandas()
     meta = pa.concat_tables(
@@ -596,7 +596,7 @@ def test_seam_cost_bounds(ray_session):
 def test_log2_gap_histogram_totals(ray_session):
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["log2_gap_histogram_users"](SF).to_pandas()
     n = duckdb.sql(f"""
@@ -609,7 +609,7 @@ def test_log2_gap_histogram_totals(ray_session):
 
 
 def test_skew_report_consistency(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["skew_report_keys"](SF)
     assert len(df) == 3
@@ -621,7 +621,7 @@ def test_skew_report_consistency(ray_session):
 
 def test_type_drift_zero_sums(ray_session):
     """Σ drift numerators = T1·T2 − T2·T1 = 0 exactly."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["type_drift_halves"](SF).take_all()
     assert sum(r["drift_num"] for r in got) == 0
@@ -635,7 +635,7 @@ def test_exclusion_funnel_subset_of_funnel(ray_session):
     purchases."""
     import duckdb
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["exclusion_funnel_users"](SF)
     assert int(df["n_users_clean"][0]) <= int(df["n_users_conv"][0])
@@ -650,7 +650,7 @@ def test_hog4_conserves_interior(ray_session):
 
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     df = QUERIES["hog4_images"](SF).to_pandas()
     meta = pa.concat_tables(
@@ -666,7 +666,7 @@ def test_hog4_conserves_interior(ray_session):
 
 def test_audio_median_is_a_sample_magnitude(ray_session):
     import geotile.synth as sy
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["audio_median_abs_tracks"](SF).take_all()
     ids = np.array(sorted(r["track_id"] for r in got))
@@ -678,7 +678,7 @@ def test_audio_median_is_a_sample_magnitude(ray_session):
 
 
 def test_join_card_audit_actual_le_cross(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["join_card_est_audit"](SF)
     assert (df["actual"] <= df["n_left"] * df["n_right"]).all()
@@ -692,7 +692,7 @@ def test_er_canonical_closure(ray_session):
     must be the longest member (checked via n_chars lookup)."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["er_canonical_docs"](SF)
     if len(df) == 0:
@@ -712,7 +712,7 @@ def test_er_canonical_closure(ray_session):
 
 
 def test_medoid_is_member(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["medoid_dup_clusters"](SF)
     rows = got.take_all() if hasattr(got, "take_all") else \
@@ -726,7 +726,7 @@ def test_medoid_is_member(ray_session):
 
 def test_cell_gini_bounds(ray_session):
     """0 ≤ GMD numerator ≤ (n−1)·Σx (max inequality bound)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["cell_count_gini"](SF)
     rows = got.take_all() if hasattr(got, "take_all") else \

@@ -47,7 +47,7 @@ def _compare(name, got, exp):
     "cohort_retention_matrix",
 ])
 def test_r3g_oracle_matches(ray_session, con, name):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     _compare(name, QUERIES[name](SF), con.execute(ORACLE_SQL[name]).df())
 
@@ -56,7 +56,7 @@ def test_cohort_matrix_conservation(ray_session, con):
     """Column sums: offset-0 row count per cohort equals the cohort's
     user count (every user is active on their own first day), and the
     total cell mass equals the distinct (user, day) count."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["cohort_retention_matrix"](SF).to_pandas()
     total = con.execute(
@@ -77,7 +77,7 @@ def test_euler_quad_sidecar_equality(ray_session):
     walk, exact, over the sf0.001 image table."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _euler_sidecar, _image_dir_for
+    from battery.queries import QUERIES, _euler_sidecar, _image_dir_for
 
     img = _image_dir_for(SF)
     got = _canon(QUERIES["euler_quad_images"](SF).to_pandas())
@@ -91,7 +91,7 @@ def test_euler_connectivity_identity(ray_session):
     """Gray's identity: E4 - E8 == QD exactly, and with the synth
     pattern's dense foreground the counts stay plausibly bounded
     (|E| <= pixel count)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["euler_quad_images"](SF).to_pandas()
     assert len(df) == 1024
@@ -102,7 +102,7 @@ def test_euler_connectivity_identity(ray_session):
 def test_audio_crest_sidecar_equality(ray_session):
     import pyarrow.parquet as pq
 
-    from geotile.queries import (QUERIES, _audio_crest_sidecar,
+    from battery.queries import (QUERIES, _audio_crest_sidecar,
                                  _audio_dir_for)
 
     got = _canon(QUERIES["audio_crest_factor"](SF).to_pandas())
@@ -116,7 +116,7 @@ def test_audio_crest_sidecar_equality(ray_session):
 
 
 def test_video_ptp_conservation(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
     from geotile.synth import VIDEO_H, VIDEO_W
 
     df = QUERIES["video_pixel_range_hist"](SF).to_pandas()
@@ -127,7 +127,7 @@ def test_video_ptp_conservation(ray_session):
 def test_video_ptp_sidecar_equality(ray_session):
     import pyarrow.parquet as pq
 
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_ptp_sidecar)
 
     got = _canon(QUERIES["video_pixel_range_hist"](SF).to_pandas())
@@ -139,7 +139,7 @@ def test_video_ptp_sidecar_equality(ray_session):
 
 
 def test_cm_heavy_hitters_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _cmhh_sql
+    from battery.queries import QUERIES, _cmhh_sql
 
     got = QUERIES["cm_heavy_hitters_audit"](SF)
     exp = con.execute(_cmhh_sql(SF)).df()
@@ -149,7 +149,7 @@ def test_cm_heavy_hitters_oracle(ray_session, con):
 
 
 def test_tax_rounding_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["tax_rounding_audit"](SF)
     exp = con.execute(ORACLE_SQL["tax_rounding_audit"]).df()
@@ -163,7 +163,7 @@ def test_tax_rounding_oracle(ray_session, con):
 def test_palette_quant_conservation_and_sidecar(ray_session):
     import pyarrow.parquet as pq
 
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _palette_sidecar)
 
     got = QUERIES["palette_quant_images"](SF).to_pandas()
@@ -183,7 +183,7 @@ def test_palette_quant_conservation_and_sidecar(ray_session):
 
 
 def test_dup_diameter_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _diameter_sql
+    from battery.queries import QUERIES, _diameter_sql
 
     got = QUERIES["dup_diameter_sweep"](SF)
     exp = con.execute(_diameter_sql(SF)).df()
@@ -199,7 +199,7 @@ def test_dup_diameter_oracle(ray_session, con):
     "tax_rounding_audit",
 ])
 def test_r3g_batch_d_oracle(ray_session, con, name):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     _compare(name, QUERIES[name](SF), con.execute(ORACLE_SQL[name]).df())
 
@@ -207,7 +207,7 @@ def test_r3g_batch_d_oracle(ray_session, con, name):
 def test_spectral_mass_bounds(ray_session):
     """Cauchy-Schwarz sandwich: trace^2/dim <= frob2 <= trace^2, so
     the participation ratio lies in [1, 64]."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["spectral_mass_embeddings"](SF)
     tr, fr = int(df.trace[0]), int(df.frob2[0])
@@ -230,7 +230,7 @@ def test_front_coding_known_vocab(ray_session, tmp_path):
                   "source": pa.array(["s0", "s0"]),
                   "n_chars": pa.array([8, 6], pa.int64())})
     pq.write_table(t, d / "documents.parquet")
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["front_coding_vocab"](str(d))
     assert df.n_tokens[0] == 4

@@ -43,7 +43,7 @@ def _compare(name, got, exp):
 
 
 def test_shape_seg_bands_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _shape_seg_bands_sql
+    from battery.queries import QUERIES, _shape_seg_bands_sql
 
     got = QUERIES["shape_seg_length_bands"](SF)
     exp = con.execute(_shape_seg_bands_sql()).df()
@@ -53,7 +53,7 @@ def test_shape_seg_bands_oracle(ray_session, con):
 def test_shape_seg_bands_conservation(ray_session, con):
     """Σ n_segs per shape = (points per shape) − 1, and every band's
     d2 mass sits inside its dyadic window [2^(b−1), 2^b)·n."""
-    from geotile.queries import QUERIES, _fixture_sql_dir
+    from battery.queries import QUERIES, _fixture_sql_dir
 
     got = QUERIES["shape_seg_length_bands"](SF).to_pandas()
     d = _fixture_sql_dir()
@@ -74,7 +74,7 @@ def test_shape_seg_bands_conservation(ray_session, con):
 
 
 def test_saturation_census_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _image_dir_for, _saturation_sql
+    from battery.queries import QUERIES, _image_dir_for, _saturation_sql
 
     got = QUERIES["saturation_census_images"](SF)
     exp = con.execute(_saturation_sql(_image_dir_for(SF))).df()
@@ -86,7 +86,7 @@ def test_saturation_census_conservation(ray_session):
     (exactly-gray pixels) and every image emits exactly 9 rows."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     got = QUERIES["saturation_census_images"](SF).to_pandas()
     dims = pq.read_table(_image_dir_for(SF),
@@ -102,7 +102,7 @@ def test_saturation_census_conservation(ray_session):
 
 
 def test_audio_lsb_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _audio_dir_for, _audio_lsb_sql
+    from battery.queries import QUERIES, _audio_dir_for, _audio_lsb_sql
 
     got = QUERIES["audio_lsb_bias"](SF)
     exp = con.execute(_audio_lsb_sql(_audio_dir_for(SF))).df()
@@ -112,7 +112,7 @@ def test_audio_lsb_oracle(ray_session, con):
 def test_audio_lsb_invariants(ray_session):
     """bias = 2·n_odd − n; longest_run·n_runs ≥ n ≥ longest_run;
     run count only exceeds 1 when both parities occur."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
     from geotile.synth import AUDIO_SAMPLES
 
     got = QUERIES["audio_lsb_bias"](SF).to_pandas()

@@ -42,7 +42,7 @@ def _compare(name, got, exp):
 
 
 def test_leg_speed_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _leg_speed_sql
+    from battery.queries import QUERIES, _leg_speed_sql
 
     got = QUERIES["gtfs_leg_speed_audit"](SF)
     exp = con.execute(_leg_speed_sql()).df()
@@ -52,7 +52,7 @@ def test_leg_speed_oracle(ray_session, con):
 def test_leg_speed_conservation(ray_session, con):
     """Σ n_legs over classes = Σ per trip (n_stops − 1), grouped to the
     trip's route; classes stay in {0,1,2,3}."""
-    from geotile.queries import QUERIES, _fixture_sql_dir
+    from battery.queries import QUERIES, _fixture_sql_dir
 
     got = QUERIES["gtfs_leg_speed_audit"](SF).to_pandas()
     d = _fixture_sql_dir()
@@ -70,7 +70,7 @@ def test_leg_speed_conservation(ray_session, con):
 
 
 def test_freq_spectrum_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["freq_spectrum_sources"](SF)
     exp = con.execute(ORACLE_SQL["freq_spectrum_sources"]).df()
@@ -81,7 +81,7 @@ def test_freq_spectrum_conservation(ray_session, con):
     """Σ mass over buckets per source = that source's total token count
     (whitespace tokens, empties dropped); exact buckets c ≤ 10 satisfy
     mass = bucket·n_types; hapax cell matches a direct SQL count."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["freq_spectrum_sources"](SF).to_pandas()
     tot = con.execute("""
@@ -105,7 +105,7 @@ def test_freq_spectrum_conservation(ray_session, con):
 
 
 def test_granulometry_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _granulo_sql, _image_dir_for
+    from battery.queries import QUERIES, _granulo_sql, _image_dir_for
 
     got = QUERIES["granulometry_images"](SF)
     exp = con.execute(_granulo_sql(_image_dir_for(SF))).df()
@@ -118,7 +118,7 @@ def test_granulometry_antiextensive(ray_session):
     n_lowered = 0 forces mass equality with the gray image."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
     from geotile import synth as sy
 
     got = QUERIES["granulometry_images"](SF).to_pandas()

@@ -42,7 +42,7 @@ def _compare(name, got, exp):
 
 
 def test_transfer_windows_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _transfer_windows_sql
+    from battery.queries import QUERIES, _transfer_windows_sql
 
     got = QUERIES["gtfs_transfer_windows"](SF)
     exp = con.execute(_transfer_windows_sql()).df()
@@ -50,7 +50,7 @@ def test_transfer_windows_oracle(ray_session, con):
 
 
 def test_transfer_windows_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["gtfs_transfer_windows"](SF).to_pandas()
     assert len(df) > 0
@@ -62,7 +62,7 @@ def test_transfer_windows_invariants(ray_session):
 
 
 def test_bpe_merges_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _bpe_sql
+    from battery.queries import QUERIES, _bpe_sql
 
     got = QUERIES["bpe_merges_docs"](SF)
     exp = con.execute(_bpe_sql(SF)).df()
@@ -70,7 +70,7 @@ def test_bpe_merges_oracle(ray_session, con):
 
 
 def test_bpe_merges_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["bpe_merges_docs"](SF)
     assert len(df) == 20
@@ -87,7 +87,7 @@ def test_bpe_merges_invariants(ray_session):
 def test_bpe_first_merge_is_modal_char_bigram(ray_session, con):
     """The rank-1 merge must equal the most frequent within-token char
     bigram counted directly in SQL (independent of the merge loop)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["bpe_merges_docs"](SF)
     exp = con.execute("""
@@ -108,7 +108,7 @@ def test_bpe_first_merge_is_modal_char_bigram(ray_session, con):
 
 
 def test_gram_det_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _gram_det_sql
+    from battery.queries import QUERIES, _gram_det_sql
 
     got = QUERIES["gram_det_embeddings"](SF)
     exp = con.execute(_gram_det_sql(SF)).df()
@@ -116,7 +116,7 @@ def test_gram_det_oracle(ray_session, con):
 
 
 def test_gram_det_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["gram_det_embeddings"](SF)
     assert int(df.dim.iloc[0]) == 64
@@ -131,7 +131,7 @@ def test_gram_det_rank_deficient_is_zero(ray_session, tmp_path):
     """n < dim must yield det = 0 exactly (rank deficiency)."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     t = pq.read_table(f"{SF}/embeddings.parquet").slice(0, 8)
     pq.write_table(t, tmp_path / "embeddings.parquet")

@@ -42,7 +42,7 @@ def _compare(name, got, exp):
 
 
 def test_color_contrast_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _color_contrast_sql
+    from battery.queries import QUERIES, _color_contrast_sql
 
     got = QUERIES["route_color_contrast"](SF)
     exp = con.execute(_color_contrast_sql()).df()
@@ -53,7 +53,7 @@ def test_color_contrast_known_values(ray_session):
     """Hand-checked YIQ values: white FFFFFF -> 255000, black 000000
     -> 0; the NULL-color route gets the GTFS spec defaults and is
     maximally readable."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["route_color_contrast"](SF).to_pandas()
     dflt = df[(df.bg == "FFFFFF") & (df.fg == "000000")]
@@ -68,7 +68,7 @@ def test_color_contrast_known_values(ray_session):
 
 
 def test_rice_coding_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _rice_sql, _audio_dir_for
+    from battery.queries import QUERIES, _rice_sql, _audio_dir_for
 
     got = QUERIES["rice_coding_tracks"](SF)
     exp = con.execute(_rice_sql(_audio_dir_for(SF))).df()
@@ -76,7 +76,7 @@ def test_rice_coding_oracle(ray_session, con):
 
 
 def test_rice_coding_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["rice_coding_tracks"](SF).to_pandas()
     assert len(df) > 0
@@ -92,7 +92,7 @@ def test_rice_coding_beats_naive_bound(ray_session):
     """Direct recomputation of the k=7 cost from synth samples must be
     >= the reported optimum (argmin property, independent arithmetic)."""
     import geotile.synth as sy
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["rice_coding_tracks"](SF).to_pandas() \
         .sort_values("track_id").reset_index(drop=True)
@@ -105,7 +105,7 @@ def test_rice_coding_beats_naive_bound(ray_session):
 
 
 def test_pair_dist_hist_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["pair_dist_hist_embeddings"](SF)
     exp = con.execute(ORACLE_SQL["pair_dist_hist_embeddings"]).df()
@@ -114,7 +114,7 @@ def test_pair_dist_hist_oracle(ray_session, con):
 
 def test_pair_dist_hist_conservation(ray_session):
     """Buckets partition all C(n,2) unordered pairs exactly once."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["pair_dist_hist_embeddings"](SF).to_pandas()
     assert int(df.n_pairs.sum()) == 500 * 499 // 2
@@ -127,7 +127,7 @@ def test_pair_dist_hist_multiblock_agrees(ray_session, tmp_path):
     brute force over all pairs."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import q_pair_dist_hist_embeddings
+    from battery.queries import q_pair_dist_hist_embeddings
 
     t = pq.read_table(f"{SF}/embeddings.parquet").slice(0, 120)
     pq.write_table(t, tmp_path / "embeddings.parquet")

@@ -34,7 +34,7 @@ def _compare(name, got, exp):
 
 
 def test_shape_orientation_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _shape_orient_sql
+    from battery.queries import QUERIES, _shape_orient_sql
 
     got = QUERIES["shape_orientation_audit"](SF)
     exp = con.execute(_shape_orient_sql()).df()
@@ -42,7 +42,7 @@ def test_shape_orientation_oracle(ray_session, con):
 
 
 def test_shape_orientation_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["shape_orientation_audit"](SF).to_pandas()
     assert len(df) == 4  # caltrain fixture shapes
@@ -56,7 +56,7 @@ def test_shape_orientation_invariants(ray_session):
 def test_shape_orientation_reversal_flips_sign(ray_session, con):
     """Reversing the point order must negate the shoelace area —
     verified directly in SQL on a reversed copy of the fixture."""
-    from geotile.queries import QUERIES, _fixture_sql_dir
+    from battery.queries import QUERIES, _fixture_sql_dir
 
     d = _fixture_sql_dir()
     fwd = QUERIES["shape_orientation_audit"](SF).to_pandas() \
@@ -82,7 +82,7 @@ def test_shape_orientation_reversal_flips_sign(ray_session, con):
 
 
 def test_bright_rect_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _bright_rect_sql, _image_dir_for
+    from battery.queries import QUERIES, _bright_rect_sql, _image_dir_for
 
     got = QUERIES["bright_rect_images"](SF)
     exp = con.execute(_bright_rect_sql(_image_dir_for(SF))).df()
@@ -90,7 +90,7 @@ def test_bright_rect_oracle(ray_session, con):
 
 
 def test_bright_rect_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["bright_rect_images"](SF).to_pandas()
     assert len(df) == 1024
@@ -104,7 +104,7 @@ def test_bright_rect_invariants(ray_session):
 def test_bright_rect_synthetic_exact(ray_session):
     """A hand-built mask with a known 3x4 max rectangle must score 12
     through the vectorized band sweep (unit-level, no Ray)."""
-    from geotile.queries import q_bright_rect_images  # noqa: F401
+    from battery.queries import q_bright_rect_images  # noqa: F401
 
     # exercise the internal run-length identity directly
     b = np.zeros((1, 6), bool)
@@ -116,7 +116,7 @@ def test_bright_rect_synthetic_exact(ray_session):
 
 
 def test_video_loop_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _video_dir_for, _video_loop_sql
+    from battery.queries import QUERIES, _video_dir_for, _video_loop_sql
 
     got = QUERIES["video_loop_period"](SF)
     exp = con.execute(_video_loop_sql(_video_dir_for(SF))).df()
@@ -124,7 +124,7 @@ def test_video_loop_oracle(ray_session, con):
 
 
 def test_video_loop_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["video_loop_period"](SF).to_pandas()
     assert len(df) > 0

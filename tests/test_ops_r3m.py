@@ -41,7 +41,7 @@ def _compare(name, got, exp):
 
 
 def test_coverage_curve_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _coverage_curve_sql, _image_dir_for
+    from battery.queries import QUERIES, _coverage_curve_sql, _image_dir_for
 
     got = QUERIES["coverage_saturation_curve"](SF)
     exp = con.execute(_coverage_curve_sql(_image_dir_for(SF))).df()
@@ -51,7 +51,7 @@ def test_coverage_curve_oracle(ray_session, con):
 def test_coverage_curve_conservation(ray_session, con):
     """Σ n_new_cells over bands = the number of distinct occupied
     cells (every cell is first-covered exactly once); bands in 1..8."""
-    from geotile.queries import (QUERIES, _image_dir_for, _sql_cell)
+    from battery.queries import (QUERIES, _image_dir_for, _sql_cell)
 
     df = QUERIES["coverage_saturation_curve"](SF).to_pandas()
     assert df.band.between(1, 8).all()
@@ -63,7 +63,7 @@ def test_coverage_curve_conservation(ray_session, con):
 
 
 def test_single_linkage_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _slink_sql
+    from battery.queries import QUERIES, _slink_sql
 
     got = QUERIES["single_linkage_merges"](SF)
     exp = con.execute(_slink_sql(SF)).df()
@@ -74,7 +74,7 @@ def test_single_linkage_matches_flat_components(ray_session):
     """Cutting the dendrogram at the FULL edge set must reproduce the
     flat connected components: total merges = n_nodes - n_components,
     and sizes telescope (size_after <= previous max + ...)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     m = QUERIES["single_linkage_merges"](SF)
     cc = QUERIES["dup_clusters_embeddings"](SF)
@@ -91,7 +91,7 @@ def test_single_linkage_matches_flat_components(ray_session):
 
 
 def test_caption_lift_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _caption_lift_sql,
+    from battery.queries import (QUERIES, _caption_lift_sql,
                                  _image_dir_for)
 
     got = QUERIES["caption_token_brightness_lift"](SF)
@@ -100,7 +100,7 @@ def test_caption_lift_oracle(ray_session, con):
 
 
 def test_caption_lift_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["caption_token_brightness_lift"](SF)
     assert len(df) == 10

@@ -40,7 +40,7 @@ def _compare(name, got, exp):
 
 
 def test_dwell_census_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _dwell_sql
+    from battery.queries import QUERIES, _dwell_sql
 
     got = QUERIES["stop_dwell_census"](SF)
     exp = con.execute(_dwell_sql()).df()
@@ -49,7 +49,7 @@ def test_dwell_census_oracle(ray_session, con):
 
 def test_dwell_census_conservation(ray_session, con):
     """Σ n_stops over classes = total stop_times rows per route."""
-    from geotile.queries import QUERIES, _fixture_sql_dir
+    from battery.queries import QUERIES, _fixture_sql_dir
 
     df = QUERIES["stop_dwell_census"](SF).to_pandas()
     d = _fixture_sql_dir()
@@ -89,7 +89,7 @@ def test_dwell_census_all_classes_synthetic(ray_session, con,
     (fix / "_COMPLETE").write_text("")
     monkeypatch.setenv("GEOTILE_CACHE", str(tmp_path))
 
-    from geotile.queries import QUERIES, _dwell_sql
+    from battery.queries import QUERIES, _dwell_sql
 
     got = QUERIES["stop_dwell_census"](SF).to_pandas()
     exp = con.execute(_dwell_sql()).df()
@@ -99,7 +99,7 @@ def test_dwell_census_all_classes_synthetic(ray_session, con,
 
 
 def test_shingle_novelty_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["shingle_novelty_curve"](SF)
     exp = con.execute(ORACLE_SQL["shingle_novelty_curve"]).df()
@@ -108,7 +108,7 @@ def test_shingle_novelty_oracle(ray_session, con):
 
 def test_shingle_novelty_conservation(ray_session, con):
     """Σ n_new_shingles = number of distinct 3-gram shingles."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["shingle_novelty_curve"](SF).to_pandas()
     n = con.execute(r"""
@@ -123,7 +123,7 @@ def test_shingle_novelty_conservation(ray_session, con):
 
 
 def test_texture_direction_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _texture_dir_sql)
 
     got = QUERIES["texture_direction_census"](SF)
@@ -132,7 +132,7 @@ def test_texture_direction_oracle(ray_session, con):
 
 
 def test_texture_direction_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["texture_direction_census"](SF).to_pandas()
     assert len(df) == 1024

@@ -34,7 +34,7 @@ def _compare(name, got, exp):
 
 
 def test_dir_asym_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _dir_asym_sql
+    from battery.queries import QUERIES, _dir_asym_sql
 
     got = QUERIES["direction_stop_asymmetry"](SF)
     exp = con.execute(_dir_asym_sql()).df()
@@ -43,7 +43,7 @@ def test_dir_asym_oracle(ray_session, con):
 
 def test_dir_asym_conservation(ray_session, con):
     """only0 + only1 + shared = distinct stops served by the route."""
-    from geotile.queries import QUERIES, _fixture_sql_dir
+    from battery.queries import QUERIES, _fixture_sql_dir
 
     df = QUERIES["direction_stop_asymmetry"](SF).to_pandas()
     d = _fixture_sql_dir()
@@ -59,7 +59,7 @@ def test_dir_asym_conservation(ray_session, con):
 
 
 def test_box_count_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _box_count_sql, _image_dir_for
+    from battery.queries import QUERIES, _box_count_sql, _image_dir_for
 
     got = QUERIES["box_count_images"](SF)
     exp = con.execute(_box_count_sql(_image_dir_for(SF))).df()
@@ -69,7 +69,7 @@ def test_box_count_oracle(ray_session, con):
 def test_box_count_monotonicity(ray_session):
     """Box counts are nonincreasing in scale, and a k-box covers at
     most k^2 scale-1 boxes: n1 <= k^2 * nk."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["box_count_images"](SF).to_pandas()
     w = df.pivot(index="image_id", columns="scale", values="n_boxes")
@@ -81,7 +81,7 @@ def test_box_count_monotonicity(ray_session):
 
 
 def test_moore_census_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _image_dir_for, _moore_sql
+    from battery.queries import QUERIES, _image_dir_for, _moore_sql
 
     got = QUERIES["cell_moore_census"](SF)
     exp = con.execute(_moore_sql(_image_dir_for(SF))).df()
@@ -92,7 +92,7 @@ def test_moore_census_vs_perimeter(ray_session):
     """Moore cells total = perimeter op's n_cells (same ledger), and
     the 4-adjacency pairs bound the Moore degree sum from below:
     Σ deg·n >= 2·n_adj_pairs (Moore ⊇ von Neumann adjacency)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     m = QUERIES["cell_moore_census"](SF).to_pandas()
     p = QUERIES["coverage_perimeter_cells"](SF)

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_clockface_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _clockface_sql
+    from battery.queries import QUERIES, _clockface_sql
 
     got = QUERIES["clockface_schedule_audit"](SF)
     exp = con.execute(_clockface_sql()).df()
@@ -46,7 +46,7 @@ def test_clockface_oracle(ray_session, con):
 
 
 def test_clockface_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["clockface_schedule_audit"](SF).to_pandas()
     # quarter marks are a subset of five-minute marks
@@ -56,7 +56,7 @@ def test_clockface_invariants(ray_session):
 
 
 def test_linear_counting_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _lincount_sql
+    from battery.queries import QUERIES, _lincount_sql
 
     got = QUERIES["linear_counting_users"](SF)
     exp = con.execute(_lincount_sql(SF)).df()
@@ -69,7 +69,7 @@ def test_linear_counting_estimate_quality(ray_session):
     fill factor (m << b)."""
     import math
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["linear_counting_users"](SF)
     m = int(df.occupied_bits.iloc[0])
@@ -81,7 +81,7 @@ def test_linear_counting_estimate_quality(ray_session):
 
 
 def test_hopkins_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _hopkins_sql
+    from battery.queries import QUERIES, _hopkins_sql
 
     got = QUERIES["hopkins_clusterability"](SF)
     exp = con.execute(_hopkins_sql()).df()
@@ -92,7 +92,7 @@ def test_hopkins_reads_clustered(ray_session):
     """The synthetic embeddings are built as label clusters, so probes
     must land in voids: hopkins_ppb well above the 5e8 uniform line,
     and both sums positive."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["hopkins_clusterability"](SF)
     assert int(df.probe_d2_sum.iloc[0]) > 0

@@ -39,7 +39,7 @@ def _compare(name, got, exp):
 
 
 def test_orphan_audit_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _orphan_sql
+    from battery.queries import QUERIES, _orphan_sql
 
     got = QUERIES["gtfs_orphan_audit"](SF)
     exp = con.execute(_orphan_sql()).df()
@@ -81,7 +81,7 @@ def test_orphan_audit_broken_feed(ray_session, con, tmp_path,
     (fix / "_COMPLETE").write_text("")
     monkeypatch.setenv("GEOTILE_CACHE", str(tmp_path))
 
-    from geotile.queries import QUERIES, _orphan_sql
+    from battery.queries import QUERIES, _orphan_sql
 
     got = QUERIES["gtfs_orphan_audit"](SF)
     exp = con.execute(_orphan_sql()).df()
@@ -96,7 +96,7 @@ def test_orphan_audit_broken_feed(ray_session, con, tmp_path,
 
 
 def test_onion_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _image_dir_for, _onion_sql
+    from battery.queries import QUERIES, _image_dir_for, _onion_sql
 
     got = QUERIES["onion_profile_images"](SF)
     exp = con.execute(_onion_sql(_image_dir_for(SF))).df()
@@ -107,7 +107,7 @@ def test_onion_conservation(ray_session):
     """Ring masses sum to the image's total gray mass (checked via
     the independent synth pattern), ring 0 present for every image."""
     import geotile.synth as sy
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["onion_profile_images"](SF).to_pandas()
     tot = df.groupby("image_id").mass.sum()
@@ -130,7 +130,7 @@ def test_onion_conservation(ray_session):
 
 
 def test_ohlc_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["daily_ohlc_values"](SF)
     exp = con.execute(ORACLE_SQL["daily_ohlc_values"]).df()
@@ -138,7 +138,7 @@ def test_ohlc_oracle(ray_session, con):
 
 
 def test_ohlc_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["daily_ohlc_values"](SF).to_pandas()
     assert (df.low_e4 <= df.open_e4).all()

@@ -36,7 +36,7 @@ def _compare(name, got, exp):
 
 
 def test_sttr_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["sttr_sources"](SF)
     exp = con.execute(ORACLE_SQL["sttr_sources"]).df()
@@ -44,7 +44,7 @@ def test_sttr_oracle(ray_session, con):
 
 
 def test_sttr_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["sttr_sources"](SF).to_pandas()
     assert (df.n_tokens <= 512).all()
@@ -53,7 +53,7 @@ def test_sttr_invariants(ray_session):
 
 
 def test_typicality_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _typicality_sql)
 
     got = QUERIES["typicality_outlier_images"](SF)
@@ -62,7 +62,7 @@ def test_typicality_oracle(ray_session, con):
 
 
 def test_typicality_scores_sorted(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["typicality_outlier_images"](SF)
     assert len(df) == 10
@@ -73,7 +73,7 @@ def test_typicality_scores_sorted(ray_session):
 
 
 def test_video_rice_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_rice_sql)
 
     got = QUERIES["video_rice_temporal"](SF)
@@ -82,7 +82,7 @@ def test_video_rice_oracle(ray_session, con):
 
 
 def test_video_rice_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["video_rice_temporal"](SF).to_pandas()
     assert len(df) > 0

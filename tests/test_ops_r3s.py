@@ -37,7 +37,7 @@ def _compare(name, got, exp):
 
 
 def test_fd_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["fd_violation_audit"](SF)
     exp = con.execute(ORACLE_SQL["fd_violation_audit"]).df()
@@ -45,7 +45,7 @@ def test_fd_oracle(ray_session, con):
 
 
 def test_fd_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["fd_violation_audit"](SF)
     assert len(df) == 5
@@ -57,7 +57,7 @@ def test_fd_invariants(ray_session):
 
 
 def test_records_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["record_count_users"](SF)
     exp = con.execute(ORACLE_SQL["record_count_users"]).df()
@@ -65,7 +65,7 @@ def test_records_oracle(ray_session, con):
 
 
 def test_records_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["record_count_users"](SF).to_pandas()
     assert len(df) > 0
@@ -78,7 +78,7 @@ def test_records_invariants(ray_session):
 
 
 def test_bbox_oracle(ray_session, con):
-    from geotile.queries import (QUERIES, _bright_bbox_sql,
+    from battery.queries import (QUERIES, _bright_bbox_sql,
                                  _image_dir_for)
 
     got = QUERIES["bright_bbox_images"](SF)
@@ -89,7 +89,7 @@ def test_bbox_oracle(ray_session, con):
 def test_bbox_contains_bright_rect(ray_session):
     """The enclosing bbox area bounds the largest interior rectangle
     from above, and the bright count from above too."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     bb = QUERIES["bright_bbox_images"](SF).to_pandas() \
         .set_index("image_id")

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_basket_jaccard_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["customer_basket_jaccard"](SF)
     exp = con.execute(ORACLE_SQL["customer_basket_jaccard"]).df()
@@ -46,7 +46,7 @@ def test_basket_jaccard_oracle(ray_session, con):
 
 
 def test_basket_jaccard_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["customer_basket_jaccard"](SF).to_pandas()
     assert len(df) == 10
@@ -60,7 +60,7 @@ def test_basket_jaccard_invariants(ray_session):
 
 
 def test_stutter_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["token_stutter_docs"](SF)
     exp = con.execute(ORACLE_SQL["token_stutter_docs"]).df()
@@ -71,7 +71,7 @@ def test_stutter_direct_recheck(ray_session):
     """Recompute each reported run directly from the raw text."""
     import pyarrow.parquet as pq
 
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["token_stutter_docs"](SF).to_pandas()
     assert len(df) == 10 and (df.run_len >= 2).all()
@@ -91,7 +91,7 @@ def test_stutter_direct_recheck(ray_session):
 
 
 def test_trip_dir_asym_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _trip_dir_asym_sql
+    from battery.queries import QUERIES, _trip_dir_asym_sql
 
     got = QUERIES["trip_duration_direction_asymmetry"](SF)
     exp = con.execute(_trip_dir_asym_sql()).df()
@@ -99,7 +99,7 @@ def test_trip_dir_asym_oracle(ray_session, con):
 
 
 def test_trip_dir_asym_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["trip_duration_direction_asymmetry"](SF)
     assert len(df) == 3  # all caltrain routes run both directions

@@ -37,7 +37,7 @@ def _compare(name, got, exp):
 
 
 def test_ldiversity_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["ldiversity_users"](SF)
     exp = con.execute(ORACLE_SQL["ldiversity_users"]).df()
@@ -47,7 +47,7 @@ def test_ldiversity_oracle(ray_session, con):
 def test_ldiversity_class_count_matches_kanon(ray_session):
     """Both ops partition the same QI classes, so total class counts
     agree; l >= 1 everywhere."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     ld = QUERIES["ldiversity_users"](SF)
     ld = ld.to_pandas() if hasattr(ld, "to_pandas") else ld
@@ -60,7 +60,7 @@ def test_ldiversity_class_count_matches_kanon(ray_session):
 
 
 def test_ktruss_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _ktruss_sql
+    from battery.queries import QUERIES, _ktruss_sql
 
     got = QUERIES["ktruss_dups"](SF)
     exp = con.execute(_ktruss_sql(SF)).df()
@@ -71,7 +71,7 @@ def test_ktruss_is_cohesive_subgraph(ray_session):
     """Every surviving edge must have a common neighbour INSIDE the
     truss (3-truss closure), and the truss is a subset of the dup
     pairs."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     tr = QUERIES["ktruss_dups"](SF)
     tr = tr.to_pandas() if hasattr(tr, "to_pandas") else tr
@@ -89,7 +89,7 @@ def test_ktruss_is_cohesive_subgraph(ray_session):
 
 
 def test_split_order_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["split_order_audit"](SF)
     exp = con.execute(ORACLE_SQL["split_order_audit"]).df()
@@ -98,7 +98,7 @@ def test_split_order_oracle(ray_session, con):
 
 def test_split_order_conservation(ray_session, con):
     """Σ n * n_cust_days = total orders."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["split_order_audit"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

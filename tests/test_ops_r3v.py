@@ -39,7 +39,7 @@ def _compare(name, got, exp):
 
 
 def test_self_xing_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _self_xing_sql
+    from battery.queries import QUERIES, _self_xing_sql
 
     got = QUERIES["shape_self_intersections"](SF)
     exp = con.execute(_self_xing_sql()).df()
@@ -62,7 +62,7 @@ def test_self_xing_figure_eight(ray_session, con, tmp_path,
     (fix / "_COMPLETE").write_text("")
     monkeypatch.setenv("GEOTILE_CACHE", str(tmp_path))
 
-    from geotile.queries import QUERIES, _self_xing_sql
+    from battery.queries import QUERIES, _self_xing_sql
 
     got = QUERIES["shape_self_intersections"](SF).to_pandas() \
         .set_index("shape_id")
@@ -73,7 +73,7 @@ def test_self_xing_figure_eight(ray_session, con, tmp_path,
 
 
 def test_dup_rows_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _dup_rows_sql, _image_dir_for
+    from battery.queries import QUERIES, _dup_rows_sql, _image_dir_for
 
     got = QUERIES["dup_rows_images"](SF)
     exp = con.execute(_dup_rows_sql(_image_dir_for(SF))).df()
@@ -81,7 +81,7 @@ def test_dup_rows_oracle(ray_session, con):
 
 
 def test_dup_rows_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["dup_rows_images"](SF).to_pandas()
     assert len(df) == 1024
@@ -92,7 +92,7 @@ def test_dup_rows_invariants(ray_session):
 
 
 def test_brevity_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["brevity_law_docs"](SF)
     exp = con.execute(ORACLE_SQL["brevity_law_docs"]).df()
@@ -100,7 +100,7 @@ def test_brevity_oracle(ray_session, con):
 
 
 def test_brevity_consistency(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["brevity_law_docs"](SF)
     cov = int(df.cov_num.iloc[0])

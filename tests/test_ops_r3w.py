@@ -39,7 +39,7 @@ def _compare(name, got, exp):
 
 
 def test_overtake_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _overtake_sql
+    from battery.queries import QUERIES, _overtake_sql
 
     got = QUERIES["schedule_overtake_audit"](SF)
     exp = con.execute(_overtake_sql()).df()
@@ -47,7 +47,7 @@ def test_overtake_oracle(ray_session, con):
 
 
 def test_overtake_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["schedule_overtake_audit"](SF).to_pandas()
     assert len(df) > 0
@@ -82,7 +82,7 @@ def test_overtake_synthetic_express(ray_session, con, tmp_path,
     (fix / "_COMPLETE").write_text("")
     monkeypatch.setenv("GEOTILE_CACHE", str(tmp_path))
 
-    from geotile.queries import QUERIES, _overtake_sql
+    from battery.queries import QUERIES, _overtake_sql
 
     got = QUERIES["schedule_overtake_audit"](SF).to_pandas()
     exp = con.execute(_overtake_sql()).df()
@@ -93,7 +93,7 @@ def test_overtake_synthetic_express(ray_session, con, tmp_path,
 
 
 def test_selectivity_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["selectivity_independence_audit"](SF)
     exp = con.execute(
@@ -102,7 +102,7 @@ def test_selectivity_oracle(ray_session, con):
 
 
 def test_selectivity_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["selectivity_independence_audit"](SF).to_pandas()
     assert len(df) == 3
@@ -113,7 +113,7 @@ def test_selectivity_invariants(ray_session):
 
 
 def test_route_loop_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _route_loop_sql
+    from battery.queries import QUERIES, _route_loop_sql
 
     got = QUERIES["route_loop_audit"](SF)
     exp = con.execute(_route_loop_sql()).df()
@@ -121,7 +121,7 @@ def test_route_loop_oracle(ray_session, con):
 
 
 def test_route_loop_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["route_loop_audit"](SF).to_pandas()
     assert (df.n_loop_trips <= df.n_trips).all()

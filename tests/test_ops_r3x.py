@@ -37,7 +37,7 @@ def _compare(name, got, exp):
 
 
 def test_reconciliation_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["order_total_reconciliation"](SF)
     exp = con.execute(ORACLE_SQL["order_total_reconciliation"]).df()
@@ -47,7 +47,7 @@ def test_reconciliation_oracle(ray_session, con):
 def test_reconciliation_conservation(ray_session, con):
     """Σ n_orders over bands = total orders (every order classified
     exactly once), childless class = anti-join count."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["order_total_reconciliation"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -62,7 +62,7 @@ def test_reconciliation_conservation(ray_session, con):
 
 
 def test_rich_club_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _rich_club_sql
+    from battery.queries import QUERIES, _rich_club_sql
 
     got = QUERIES["rich_club_dups"](SF)
     exp = con.execute(_rich_club_sql(SF)).df()
@@ -70,7 +70,7 @@ def test_rich_club_oracle(ray_session, con):
 
 
 def test_rich_club_invariants(ray_session):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["rich_club_dups"](SF)
     assert int(df.k.iloc[0]) <= 8
@@ -79,7 +79,7 @@ def test_rich_club_invariants(ray_session):
 
 
 def test_dom_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["dom_seasonality_purchases"](SF)
     exp = con.execute(ORACLE_SQL["dom_seasonality_purchases"]).df()
@@ -87,7 +87,7 @@ def test_dom_oracle(ray_session, con):
 
 
 def test_dom_conservation(ray_session, con):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["dom_seasonality_purchases"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_palindrome_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["palindrome_census_docs"](SF)
     exp = con.execute(ORACLE_SQL["palindrome_census_docs"]).df()
@@ -48,7 +48,7 @@ def test_palindrome_oracle(ray_session, con):
 def test_palindrome_invariants(ray_session, con):
     """n_types <= n_pal <= n_tok3 per source; the n_tok3 total equals
     an independent direct count of len>=3 tokens."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["palindrome_census_docs"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -61,7 +61,7 @@ def test_palindrome_invariants(ray_session, con):
 
 
 def test_part_pair_lift_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["part_pair_lift_orders"](SF)
     exp = con.execute(ORACLE_SQL["part_pair_lift_orders"]).df()
@@ -71,7 +71,7 @@ def test_part_pair_lift_oracle(ray_session, con):
 def test_part_pair_lift_invariants(ray_session, con):
     """n_ab <= min(n_a, n_b); lift numerator recomputes from the
     independently-counted order universe."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["part_pair_lift_orders"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -86,7 +86,7 @@ def test_part_pair_lift_invariants(ray_session, con):
 
 
 def test_lis_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _lis_sql
+    from battery.queries import QUERIES, _lis_sql
 
     got = QUERIES["lis_customer_orders"](SF)
     exp = con.execute(_lis_sql(SF)).df()
@@ -96,7 +96,7 @@ def test_lis_oracle(ray_session, con):
 def test_lis_invariants(ray_session, con):
     """Histogram totals = customers with orders; LIS lengths bounded
     by the max order count of any customer; strict positivity."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["lis_customer_orders"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

@@ -38,7 +38,7 @@ def _compare(name, got, exp):
 
 
 def test_huffman_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _huffman_sql
+    from battery.queries import QUERIES, _huffman_sql
 
     got = QUERIES["huffman_cost_sources"](SF)
     exp = con.execute(_huffman_sql(SF)).df()
@@ -48,7 +48,7 @@ def test_huffman_oracle(ray_session, con):
 def test_huffman_bounds(ray_session, con):
     """Shannon sandwich: n·H <= huffman_bits <= n·(H+1); and the
     optimal code never beats fixed width from above."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["huffman_cost_sources"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -84,7 +84,7 @@ def test_huffman_known_distribution():
 
 
 def test_emd_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["emd_weekend_weekday"](SF)
     exp = con.execute(ORACLE_SQL["emd_weekend_weekday"]).df()
@@ -94,7 +94,7 @@ def test_emd_oracle(ray_session, con):
 def test_emd_invariants(ray_session, con):
     """Counts split the purchase universe; EMD numerator bounded by
     n_wd*n_we*(vmax - vmin) (max transport over max distance)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["emd_weekend_weekday"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df
@@ -121,7 +121,7 @@ def test_emd_identical_distributions(ray_session):
 
 
 def test_naive_lag_oracle(ray_session, con):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES["naive_lag_mae_daily"](SF)
     exp = con.execute(ORACLE_SQL["naive_lag_mae_daily"]).df()
@@ -131,7 +131,7 @@ def test_naive_lag_oracle(ray_session, con):
 def test_naive_lag_invariants(ray_session, con):
     """Pair counts bounded by observed days; lag-1 pairs at least as
     numerous as any single gap census allows (n1, n7 <= days - 1)."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     df = QUERIES["naive_lag_mae_daily"](SF)
     df = df.to_pandas() if hasattr(df, "to_pandas") else df

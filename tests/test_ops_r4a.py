@@ -9,7 +9,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _bwt_runs_np,
     _bwt_runs_scalar,

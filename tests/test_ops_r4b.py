@@ -8,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _fleet_size_sql,

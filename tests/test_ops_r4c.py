@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _alias_sql,
     _duval_factor_count,

@@ -5,7 +5,7 @@ import duckdb
 import numpy as np
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _buffer_area_sql,
     _lsh_balance_sql,

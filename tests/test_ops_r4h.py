@@ -5,7 +5,7 @@ import duckdb
 import numpy as np
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _lcs_dp,
     _lcs_myers,

@@ -5,7 +5,7 @@ import duckdb
 import numpy as np
 import pytest
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _audio_dir_for,

@@ -4,7 +4,7 @@ border census — kernel pins, independent cross-checks, sf0.001 parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _audio_dir_for,
     _border_from_z,

@@ -4,7 +4,7 @@ line peak — kernel pins, independent cross-checks, sf0.001 parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _AC_PATTERNS,

@@ -4,7 +4,7 @@ rho cycle census — kernel pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _gotoh_cost,
     _gotoh_dijkstra,

@@ -4,7 +4,7 @@ kernel pins, independent cross-checks, sf0.001 parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _ffd_bins,
     _ffd_bins_replay,

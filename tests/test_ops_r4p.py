@@ -4,7 +4,7 @@ extrema, Moore-Hodgson scheduling — pins, cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _kadane_best,

@@ -4,7 +4,7 @@ Kadane max submatrix — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _MSUB_K,
     QUERIES,
     _hk_sql,

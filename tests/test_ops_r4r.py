@@ -4,7 +4,7 @@ rectangle-union area — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _dinic,
     _edmonds_karp,
@@ -95,7 +95,7 @@ def test_gs_queue_vs_recursive_random():
 def test_gs_stability_vs_hungarian_differs():
     # crafted instance: the stable matching is NOT min-cost —
     # stability and optimality are different solution concepts
-    from geotile.queries import _hungarian
+    from battery.queries import _hungarian
 
     cc = np.array([0, 10], np.int64)
     sc = np.array([1, 8], np.int64)

@@ -4,7 +4,7 @@ census — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _held_karp,

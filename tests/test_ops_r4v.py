@@ -4,7 +4,7 @@
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _boruvka,

@@ -4,7 +4,7 @@
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _RS_P,
     ORACLE_SQL,
     QUERIES,

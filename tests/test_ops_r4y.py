@@ -4,7 +4,7 @@ interval stabbing — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _WIN_K,
     _WIN_W,
     QUERIES,

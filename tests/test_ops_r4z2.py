@@ -4,7 +4,7 @@ pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _lp_bsearch,
     _lp_dp,

@@ -4,7 +4,7 @@ independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _FM_M,
     QUERIES,
     _cs_cells,
@@ -42,7 +42,7 @@ def _cmp(got, exp):
 
 
 def _build_sketch(keys):
-    from geotile.queries import _CS_D, _CS_W
+    from battery.queries import _CS_D, _CS_W
 
     r, c, s = _cs_cells(np.asarray(keys, np.int64))
     sk = np.zeros((_CS_D, _CS_W), np.int64)

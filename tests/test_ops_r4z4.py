@@ -6,7 +6,7 @@ import zlib
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _crc32_bitwise,
@@ -45,7 +45,7 @@ def test_osa_transposition_cheaper_than_levenshtein():
     # the defining case: adjacent swap costs 1, plain edit pays 2
     assert _osa_distance(["a", "b"], ["b", "a"]) == 1
     assert _osa_memo(["a", "b"], ["b", "a"]) == 1
-    from geotile.ops.fuzzy import levenshtein
+    from battery.ops.fuzzy import levenshtein
 
     assert levenshtein("ab", "ba") == 2
 

@@ -4,7 +4,7 @@ pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     ORACLE_SQL,
     QUERIES,
     _audio_dir_for,

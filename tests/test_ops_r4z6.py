@@ -4,7 +4,7 @@ pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _ear_clip,
     _ear_sql,

@@ -4,7 +4,7 @@
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _OA_TBL,
     ORACLE_SQL,
     QUERIES,
@@ -63,7 +63,7 @@ def test_oa_no_collision_one_probe_each():
     keys = []
     seen = set()
     k = 0
-    from geotile.queries import _sm64_scalar_rho
+    from battery.queries import _sm64_scalar_rho
 
     while len(keys) < 10:
         h = _sm64_scalar_rho(k) % _OA_TBL

@@ -4,7 +4,7 @@
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _RSA_E,
     _RSA_N,
     ORACLE_SQL,
@@ -132,7 +132,7 @@ def test_rsa_homomorphism():
 
 def test_rsa_noncoprime_message_still_roundtrips():
     # m sharing a factor with n: CRT correctness still holds
-    from geotile.queries import _RSA_P
+    from battery.queries import _RSA_P
 
     d = _rsa_d()
     m = _RSA_P * 7

@@ -6,7 +6,7 @@ import math
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _LEHMER_M,
     ORACLE_SQL,
     QUERIES,

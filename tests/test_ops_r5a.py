@@ -6,7 +6,7 @@ import math
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _celf_sql,
     _greedy_cover_celf,

@@ -4,7 +4,7 @@ independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _hull_width_brute,
     _hull_width_frac,
@@ -155,7 +155,7 @@ def test_width_tilted_triangle_exact_fraction():
 
 
 def test_width_le_diameter_and_cross_check_random():
-    from geotile.queries import _diam2_brute
+    from battery.queries import _diam2_brute
 
     rng = np.random.default_rng(439)
     for _ in range(40):

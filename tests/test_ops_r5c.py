@@ -4,7 +4,7 @@ independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _bwt_inverse_columns,
     _bwt_inverse_lf,

@@ -4,7 +4,7 @@ Estrin — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _POLY_M,
     ORACLE_SQL,
     QUERIES,

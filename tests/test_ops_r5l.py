@@ -6,7 +6,7 @@ from fractions import Fraction
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _DAMM_TABLE,
     QUERIES,
     _cf_best_rational,

@@ -4,7 +4,7 @@ independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _CRT_MODS,
     _TS_P,
     QUERIES,

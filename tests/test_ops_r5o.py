@@ -4,7 +4,7 @@ independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _VIG_KEY,
     QUERIES,
     _ck_sql,

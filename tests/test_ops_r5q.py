@@ -4,7 +4,7 @@ periods — pins, independent cross-checks, parity."""
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     QUERIES,
     _bst_insert_stats,
     _bst_sql,

@@ -6,7 +6,7 @@ import zlib
 import duckdb
 import numpy as np
 
-from geotile.queries import (
+from battery.queries import (
     _ELO_E3,
     QUERIES,
     _adler32_closed,

@@ -51,7 +51,7 @@ R3_ORACLED = [
 @pytest.mark.parametrize("name", R3_ORACLED)
 def test_r3_oracle_matches(ray_session, con, name):
     import __ray_entry__ as e
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     sql = e.oracle_sql()[name]
     _compare(name, QUERIES[name](SF), con.execute(sql).df())
@@ -62,35 +62,35 @@ def test_r3_oracle_matches(ray_session, con, name):
 
 
 def test_fingerprint_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _fingerprint_sql
+    from battery.queries import QUERIES, _fingerprint_sql
 
     _compare("fingerprint_docs", QUERIES["fingerprint_docs"](SF),
              con.execute(_fingerprint_sql(SF)).df())
 
 
 def test_simhash_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _simhash_sql
+    from battery.queries import QUERIES, _simhash_sql
 
     _compare("simhash_docs", QUERIES["simhash_docs"](SF),
              con.execute(_simhash_sql(SF)).df())
 
 
 def test_minhash_pairs_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _minhash_pairs_sql
+    from battery.queries import QUERIES, _minhash_pairs_sql
 
     _compare("minhash_pairs_docs", QUERIES["minhash_pairs_docs"](SF),
              con.execute(_minhash_pairs_sql(SF)).df())
 
 
 def test_hll_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _hll_sql
+    from battery.queries import QUERIES, _hll_sql
 
     _compare("hll_distinct_users", QUERIES["hll_distinct_users"](SF),
              con.execute(_hll_sql(SF)).df())
 
 
 def test_ivf_ann_oracle(ray_session, con):
-    from geotile.queries import _IVF_ANN_SQL, QUERIES
+    from battery.queries import _IVF_ANN_SQL, QUERIES
 
     _compare("ivf_ann", QUERIES["ivf_ann"](SF), con.execute(_IVF_ANN_SQL).df())
 
@@ -99,21 +99,21 @@ def test_ivf_ann_oracle(ray_session, con):
 
 
 def test_tile_dissolve_oracle(ray_session, con):
-    from geotile.queries import QUERIES, tile_oracle_sql
+    from battery.queries import QUERIES, tile_oracle_sql
 
     sql = tile_oracle_sql(SF)["tile_dissolve"]
     _compare("tile_dissolve", QUERIES["tile_dissolve"](SF), con.execute(sql).df())
 
 
 def test_gtfs_buffer_stats_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _gtfs_buffer_stats_sql
+    from battery.queries import QUERIES, _gtfs_buffer_stats_sql
 
     _compare("gtfs_buffer_stats", QUERIES["gtfs_buffer_stats"](SF),
              con.execute(_gtfs_buffer_stats_sql()).df())
 
 
 def test_gtfs_dissolved_stats_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _gtfs_dissolved_stats_sql
+    from battery.queries import QUERIES, _gtfs_dissolved_stats_sql
 
     _compare("gtfs_dissolved_stats", QUERIES["gtfs_dissolved_stats"](SF),
              con.execute(_gtfs_dissolved_stats_sql()).df())
@@ -138,9 +138,9 @@ def test_scalar_ref_matches_vectorized_kernels(ray_session):
     import numpy as np
     import pyarrow as pa
 
-    from geotile import oracle_ref as ref
-    from geotile.ops.hashing import hashed_tokens, rolling_fingerprints
-    from geotile.ops.dedup import MinHashStage, _shingle_flat, simhash_batch
+    from battery import oracle_ref as ref
+    from battery.ops.hashing import hashed_tokens, rolling_fingerprints
+    from battery.ops.dedup import MinHashStage, _shingle_flat, simhash_batch
 
     col = pa.array(EDGE_TEXTS, pa.string())
     h, off = hashed_tokens(col)
@@ -169,8 +169,8 @@ def test_scalar_ref_matches_vectorized_kernels(ray_session):
 def test_scalar_hll_matches_engine(ray_session):
     import numpy as np
 
-    from geotile.oracle_ref import hll_estimate_ref
-    from geotile.ops.sketch import HLL
+    from battery.oracle_ref import hll_estimate_ref
+    from battery.ops.sketch import HLL
     from geotile.synth import splitmix64
 
     vals = (np.arange(5000, dtype=np.int64) * 7919 - 1000).tolist()
@@ -183,8 +183,8 @@ def test_anti_join_bucketed_path_matches_broadcast(ray_session, con):
     the identical anti-join result."""
     import pyarrow.compute as pc
 
-    from geotile.ops.relational import anti_join
-    from geotile.queries import _read
+    from battery.ops.relational import anti_join
+    from battery.queries import _read
 
     orders = _read(SF, "orders", ["o_custkey", "o_totalprice"])
     big = orders.map_batches(
@@ -233,7 +233,7 @@ def test_window_stats_formulas_on_random_masks(ray_session):
 
 
 def test_simhash_pairs_oracle(ray_session, con):
-    from geotile.queries import QUERIES, _simhash_pairs_sql
+    from battery.queries import QUERIES, _simhash_pairs_sql
 
     _compare("simhash_pairs_docs", QUERIES["simhash_pairs_docs"](SF),
              con.execute(_simhash_pairs_sql(SF)).df())

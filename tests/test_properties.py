@@ -120,7 +120,7 @@ def test_hashed_tokens_counts_match_python_split(texts):
     counts for arbitrary unicode input (whitespace runs, emoji, empty)."""
     import pyarrow as pa
 
-    from geotile.ops.hashing import hashed_tokens
+    from battery.ops.hashing import hashed_tokens
 
     h, off = hashed_tokens(pa.array(texts, pa.string()))
     assert (off[1:] - off[:-1]).tolist() == [len(t.split()) for t in texts]

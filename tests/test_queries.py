@@ -276,7 +276,7 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.mark.parametrize("name", CHECKED)
 def test_query_matches_oracle(ray_session, con, name):
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     got = QUERIES[name](SF)
     got = got.to_pandas() if hasattr(got, "to_pandas") else got
@@ -326,7 +326,7 @@ def test_tile_query_matches_oracle(ray_session, con, name):
     """Flagship graft queries vs generated DuckDB oracles (PIP replay
     over the edge sidecar, SQL Morton encode, meter-frame kNN) — the
     arithmetic mirrors the numpy kernels so floats match bit-exactly."""
-    from geotile.queries import QUERIES, tile_oracle_sql
+    from battery.queries import QUERIES, tile_oracle_sql
 
     sql = tile_oracle_sql(SF)[name]
     got = QUERIES[name](SF)
@@ -354,7 +354,7 @@ def test_generated_oracle_matches(ray_session, con, name):
     import __ray_entry__ as e
 
     sql = e.oracle_sql()[name]
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES[name](SF)
     got = got.to_pandas() if hasattr(got, "to_pandas") else got
@@ -369,7 +369,7 @@ def test_generated_oracle_matches(ray_session, con, name):
 
 def test_gtfs_stop_features_oracle(ray_session, con):
     import __ray_entry__ as e
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     sql = e.oracle_sql()["gtfs_stop_features"]
     got = QUERIES["gtfs_stop_features"](SF)
@@ -383,7 +383,7 @@ def test_gtfs_stop_features_oracle(ray_session, con):
 
 
 def test_image_invariant_oracles(ray_session, con):
-    from geotile.queries import (
+    from battery.queries import (
         QUERIES,
         _image_dir_for,
         _image_embeddings_sql,
@@ -405,7 +405,7 @@ def test_image_invariant_oracles(ray_session, con):
 def test_fmt_size_association_oracle(ray_session, con):
     """Chi-square contingency parts vs direct SQL over the image
     parquet; sanity: devs sum to zero over the table."""
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     img = _image_dir_for(SF)
     got = (QUERIES["fmt_size_association"](SF)
@@ -433,7 +433,7 @@ def test_fmt_size_association_oracle(ray_session, con):
 def test_caption_stop_stats_oracle(ray_session, con):
     """Metadata-only caption extraction vs direct SQL over the image
     parquet (payload column never read)."""
-    from geotile.queries import QUERIES, _image_dir_for
+    from battery.queries import QUERIES, _image_dir_for
 
     img = _image_dir_for(SF)
     got = (QUERIES["caption_stop_stats"](SF).to_pandas()
@@ -456,7 +456,7 @@ def test_image_patch_sums_oracle(ray_session, con):
     generator-replay sidecar (pixel_pattern ground truth,
     inclusion-exclusion prefix-sum kernel) at sf0.001; also sanity:
     patch pixel counts tile each image exactly."""
-    from geotile.queries import QUERIES, _image_dir_for, _image_patch_sql
+    from battery.queries import QUERIES, _image_dir_for, _image_patch_sql
 
     img = _image_dir_for(SF)
     got = (
@@ -482,7 +482,7 @@ def test_image_channel_histogram_oracle(ray_session, con):
     """Engine decode-path histogram vs the generator-replay sidecar
     (pixel_pattern ground truth, np.unique counting) at sf0.001; also
     sanity: bins partition the pixel mass exactly."""
-    from geotile.queries import QUERIES, _image_dir_for, _image_hist_sql
+    from battery.queries import QUERIES, _image_dir_for, _image_hist_sql
 
     img = _image_dir_for(SF)
     got = (
@@ -509,7 +509,7 @@ def test_tile_pyramid_counts_oracle(ray_session, con):
     spread encode in SQL — two independent derivations of the same
     aperture-4 nesting; also sanity: every level's total equals the
     image count."""
-    from geotile.queries import QUERIES, _image_dir_for, _tile_pyramid_sql
+    from battery.queries import QUERIES, _image_dir_for, _tile_pyramid_sql
 
     img = _image_dir_for(SF)
     got = (QUERIES["tile_pyramid_counts"](SF).to_pandas()
@@ -527,7 +527,7 @@ def test_caption_geo_consistency_oracle(ray_session, con):
     """Engine numpy d² argmin vs the SQL CROSS JOIN + ROW_NUMBER replay
     (same meter frame, same literals); also sanity: totals equal the
     image count and matches never exceed totals."""
-    from geotile.queries import QUERIES, _caption_geo_sql, _image_dir_for
+    from battery.queries import QUERIES, _caption_geo_sql, _image_dir_for
 
     img = _image_dir_for(SF)
     got = (QUERIES["caption_geo_consistency"](SF).to_pandas()
@@ -544,7 +544,7 @@ def test_image_glcm_energy_oracle(ray_session, con):
     """Engine GLCM (offset-packed bincount over the decode path) vs the
     generator-replay sidecar (per-column add.at over pixel_pattern
     ground truth, python-int energy) at sf0.001 — integer-exact."""
-    from geotile.queries import QUERIES, _image_dir_for, _image_glcm_sql
+    from battery.queries import QUERIES, _image_dir_for, _image_glcm_sql
 
     img = _image_dir_for(SF)
     got = (QUERIES["image_glcm_energy"](SF).to_pandas()
@@ -564,8 +564,8 @@ def test_audio_frame_energy_oracle(ray_session, con):
     import pyarrow as pa
     import pytest as _pt
 
-    from geotile.ops.audio import AudioFrameStage
-    from geotile.queries import QUERIES, _audio_dir_for, _audio_energy_sql
+    from battery.ops.audio import AudioFrameStage
+    from battery.queries import QUERIES, _audio_dir_for, _audio_energy_sql
 
     aud = _audio_dir_for(SF)
     got = (QUERIES["audio_frame_energy"](SF).to_pandas()
@@ -586,7 +586,7 @@ def test_audio_frame_energy_oracle(ray_session, con):
 def test_audio_silence_runs_oracle(ray_session, con):
     """Engine flat-diff run detection vs the per-sample python-int
     replay sidecar at sf0.001."""
-    from geotile.queries import QUERIES, _audio_dir_for, _audio_silence_sql
+    from battery.queries import QUERIES, _audio_dir_for, _audio_silence_sql
 
     aud = _audio_dir_for(SF)
     got = (QUERIES["audio_silence_runs"](SF).to_pandas()
@@ -601,7 +601,7 @@ def test_audio_silence_runs_oracle(ray_session, con):
 def test_spatial_autocorr_cells_oracle(ray_session, con):
     """Engine scatter/union count algebra vs the SQL self-join over
     quantized (ix, iy) at sf0.001 — exact integer parts."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _spatial_autocorr_sql)
 
     img = _image_dir_for(SF)
@@ -615,7 +615,7 @@ def test_spatial_autocorr_cells_oracle(ray_session, con):
 def test_tile_stop_hulls_oracle(ray_session, con):
     """Engine monotone-chain distributed hull vs the Jarvis-march
     Fraction-exact sidecar at sf0.001."""
-    from geotile.queries import QUERIES, _image_dir_for, _stop_hulls_sql
+    from battery.queries import QUERIES, _image_dir_for, _stop_hulls_sql
 
     img = _image_dir_for(SF)
     got = (QUERIES["tile_stop_hulls"](SF)
@@ -632,7 +632,7 @@ def test_tile_stop_hulls_oracle(ray_session, con):
 def test_audio_autocorr_tracks_oracle(ray_session, con):
     """Engine vectorized autocorr features vs the python-int replay
     sidecar at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_autocorr_sql,
+    from battery.queries import (QUERIES, _audio_autocorr_sql,
                                  _audio_dir_for)
 
     aud = _audio_dir_for(SF)
@@ -648,7 +648,7 @@ def test_audio_autocorr_tracks_oracle(ray_session, con):
 def test_tile_viewport_query_oracle(ray_session, con):
     """Engine bbox-pruned cell counts vs the BETWEEN + Morton SQL
     replay at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _tile_viewport_sql)
 
     img = _image_dir_for(SF)
@@ -664,7 +664,7 @@ def test_tile_viewport_query_oracle(ray_session, con):
 def test_image_median_gray_oracle(ray_session, con):
     """Engine packed-bincount median vs the python sort replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _image_median_sql)
 
     img = _image_dir_for(SF)
@@ -681,7 +681,7 @@ def test_tile_corridor_query_oracle(ray_session, con):
     """Engine clamped-projection corridor filter vs the literal-op-order
     SQL replay at sf0.001 — the d2 <= R2 boundary must be
     bit-identical."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _tile_corridor_sql)
 
     img = _image_dir_for(SF)
@@ -697,7 +697,7 @@ def test_tile_corridor_query_oracle(ray_session, con):
 def test_cell_dominant_stop_oracle(ray_session, con):
     """Engine per-cell argmax vs the ROW_NUMBER SQL replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _cell_dominant_sql,
+    from battery.queries import (QUERIES, _cell_dominant_sql,
                                  _image_dir_for)
 
     img = _image_dir_for(SF)
@@ -713,7 +713,7 @@ def test_cell_dominant_stop_oracle(ray_session, con):
 def test_segment_octants_routes_oracle(ray_session, con):
     """Engine sign/magnitude octant classification vs the segments-
     sidecar SQL replay (libm-free by construction)."""
-    from geotile.queries import QUERIES, _segment_octants_sql
+    from battery.queries import QUERIES, _segment_octants_sql
 
     got = (QUERIES["segment_octants_routes"](SF).to_pandas()
            .sort_values(["route_id", "octant"]).reset_index(drop=True))
@@ -731,8 +731,8 @@ def test_video_frame_sums_oracle(ray_session, con):
     import pyarrow as pa
     import pytest as _pt
 
-    from geotile.ops.video import VideoFrameStage
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.ops.video import VideoFrameStage
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_sums_sql)
 
     vid = _video_dir_for(SF)
@@ -756,7 +756,7 @@ def test_video_frame_sums_oracle(ray_session, con):
 def test_lang_confusion_matrix_oracle(ray_session, con):
     """Engine confusion aggregate vs the generated lang-id SQL replay
     wrapped in a GROUP BY at sf0.001."""
-    from geotile.queries import QUERIES, _lang_confusion_sql
+    from battery.queries import QUERIES, _lang_confusion_sql
 
     got = (QUERIES["lang_confusion_matrix"](SF).to_pandas()
            .sort_values(["lang", "lang_pred"]).reset_index(drop=True))
@@ -770,7 +770,7 @@ def test_lang_confusion_matrix_oracle(ray_session, con):
 def test_crossmodal_pairing_audit_oracle(ray_session, con):
     """Engine image-audio pairing rollup vs the modulo-join SQL
     replay over both synth tables at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _crossmodal_sql, _image_dir_for)
 
     img, aud = _image_dir_for(SF), _audio_dir_for(SF)
@@ -786,7 +786,7 @@ def test_crossmodal_pairing_audit_oracle(ray_session, con):
 def test_image_center_bias_oracle(ray_session, con):
     """Stage-reuse fold of the exact patch ledger vs a CASE
     re-aggregation of the same sidecar at sf0.001."""
-    from geotile.queries import (QUERIES, _image_center_bias_sql,
+    from battery.queries import (QUERIES, _image_center_bias_sql,
                                  _image_dir_for)
 
     img = _image_dir_for(SF)
@@ -803,7 +803,7 @@ def test_image_center_bias_oracle(ray_session, con):
 def test_stop_spacing_legs_oracle(ray_session, con):
     """Engine meter-frame leg d-squared vs the strtod-cast literal
     replay — bit-exact per element."""
-    from geotile.queries import QUERIES, _stop_spacing_sql
+    from battery.queries import QUERIES, _stop_spacing_sql
 
     got = (QUERIES["stop_spacing_legs"](SF).to_pandas()
            .sort_values(["route_key", "leg"]).reset_index(drop=True))
@@ -817,7 +817,7 @@ def test_stop_spacing_legs_oracle(ray_session, con):
 def test_route_overlap_matrix_oracle(ray_session, con):
     """Pair expansion over the flagship assignments vs the generated
     PIP replay wrapped in a self-join at sf0.001."""
-    from geotile.queries import QUERIES, _route_overlap_sql
+    from battery.queries import QUERIES, _route_overlap_sql
 
     got = (QUERIES["route_overlap_matrix"](SF).to_pandas()
            .sort_values(["route_a", "route_b"]).reset_index(drop=True))
@@ -831,7 +831,7 @@ def test_route_overlap_matrix_oracle(ray_session, con):
 def test_audio_half_drift_oracle(ray_session, con):
     """Stage-reuse fold of the frame-energy ledger vs a CASE
     re-aggregation of the shared audio sidecar at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_half_drift_sql)
 
     aud = _audio_dir_for(SF)
@@ -848,7 +848,7 @@ def test_stop_hull_area_parts_oracle(ray_session, con):
     """Order-free truncated shoelace: monotone-chain engine vs the
     Jarvis sidecar (different starting vertex, same cyclic edge set)
     at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _stop_hull_area_sql)
 
     img = _image_dir_for(SF)
@@ -864,7 +864,7 @@ def test_stop_hull_area_parts_oracle(ray_session, con):
 def test_dup_degree_hist_oracle(ray_session, con):
     """Degree fold of the LSH pairs vs the scalar-replay pairs sidecar
     folded identically at sf0.001."""
-    from geotile.queries import QUERIES, _dup_degree_sql
+    from battery.queries import QUERIES, _dup_degree_sql
 
     got = (QUERIES["dup_degree_hist"](SF).to_pandas()
            .sort_values("degree").reset_index(drop=True))
@@ -878,7 +878,7 @@ def test_dup_degree_hist_oracle(ray_session, con):
 def test_stop_bbox_iou_pairs_oracle(ray_session, con):
     """BBox pair table vs the LEAST/GREATEST SQL replay — every area
     a single IEEE product before truncation."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _stop_bbox_iou_sql)
 
     img = _image_dir_for(SF)
@@ -895,7 +895,7 @@ def test_stop_bbox_iou_pairs_oracle(ray_session, con):
 def test_phash_popcount_stats_oracle(ray_session, con):
     """Engine unpackbits popcount vs DuckDB bit_count on the metadata
     scan at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _phash_popcount_sql)
 
     img = _image_dir_for(SF)
@@ -911,7 +911,7 @@ def test_phash_popcount_stats_oracle(ray_session, con):
 def test_audio_zcr_tracks_oracle(ray_session, con):
     """Shifted-product ZCR kernel vs the python-int per-sample replay
     sidecar at sf0.001."""
-    from geotile.queries import QUERIES, _audio_dir_for, _audio_zcr_sql
+    from battery.queries import QUERIES, _audio_dir_for, _audio_zcr_sql
 
     aud = _audio_dir_for(SF)
     got = (QUERIES["audio_zcr_tracks"](SF).to_pandas()
@@ -926,7 +926,7 @@ def test_audio_zcr_tracks_oracle(ray_session, con):
 def test_video_motion_energy_oracle(ray_session, con):
     """Stacked-tensor |diff| motion kernel vs the python-int frame-pair
     replay at sf0.001; first-argmax tie rule must match."""
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_motion_sql)
 
     vid = _video_dir_for(SF)
@@ -942,7 +942,7 @@ def test_video_motion_energy_oracle(ray_session, con):
 def test_image_gradient_energy_oracle(ray_session, con):
     """Vectorized |diff| gradient sums vs the nested python-int loop
     replay at sf0.001 (mixed image sizes exercised by the fixture)."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _image_gradient_sql)
 
     img = _image_dir_for(SF)
@@ -960,7 +960,7 @@ def test_poly_edge_crossings_oracle(ray_session, con):
     replay (identical IEEE orientation expressions); the bbox
     prefilter in the SQL is a necessary condition so the two sides
     see the same pair universe."""
-    from geotile.queries import QUERIES, _poly_crossings_sql
+    from battery.queries import QUERIES, _poly_crossings_sql
 
     got = (QUERIES["poly_edge_crossings"]("/root/testdata/sf0.001")
            .sort_values(["poly_a", "poly_b"]).reset_index(drop=True))
@@ -974,7 +974,7 @@ def test_poly_edge_crossings_oracle(ray_session, con):
 def test_bloom_fpr_audit_oracle(ray_session, con):
     """Distributed bloom build/probe vs the scalar python-int bitmap
     replay at sf0.001 — same m/k/seeds, exact counter equality."""
-    from geotile.queries import QUERIES, _bloom_fpr_sql
+    from battery.queries import QUERIES, _bloom_fpr_sql
 
     got = QUERIES["bloom_fpr_audit"](SF)
     exp = con.execute(_bloom_fpr_sql(SF)).df()
@@ -988,7 +988,7 @@ def test_bloom_fpr_audit_oracle(ray_session, con):
 def test_scene_change_runs_oracle(ray_session, con):
     """Vectorized padded-diff run kernel vs the per-pair scalar loop
     replay at sf0.001."""
-    from geotile.queries import (QUERIES, _scene_change_sql,
+    from battery.queries import (QUERIES, _scene_change_sql,
                                  _video_dir_for)
 
     vid = _video_dir_for(SF)
@@ -1004,7 +1004,7 @@ def test_scene_change_runs_oracle(ray_session, con):
 def test_triplet_violation_labels_oracle(ray_session, con):
     """int64 Gram-matmul masked minima vs the scalar python-int
     per-pair replay at sf0.001."""
-    from geotile.queries import QUERIES, _triplet_sql
+    from battery.queries import QUERIES, _triplet_sql
 
     got = (QUERIES["triplet_violation_labels"](SF).to_pandas()
            .sort_values("label").reset_index(drop=True))
@@ -1017,7 +1017,7 @@ def test_triplet_violation_labels_oracle(ray_session, con):
 
 def test_dup_component_sizes_oracle(ray_session, con):
     """CC size histogram vs the recursive-CTE replay at sf0.001."""
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
     import __ray_entry__ as e
 
     sql = e.oracle_sql()["dup_component_sizes"].replace(
@@ -1034,7 +1034,7 @@ def test_dup_component_sizes_oracle(ray_session, con):
 def test_hist_equalize_sums_oracle(ray_session, con):
     """Packed-bincount CDF remap vs the scalar Counter replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _hist_eq_sql,
+    from battery.queries import (QUERIES, _hist_eq_sql,
                                  _image_dir_for)
 
     img = _image_dir_for(SF)
@@ -1050,7 +1050,7 @@ def test_hist_equalize_sums_oracle(ray_session, con):
 def test_phash_nn_images_oracle(ray_session, con):
     """SWAR-popcount XOR argmin vs the bit_count(xor) window replay at
     sf0.001 (first-hit argmin == smallest-id tie rule)."""
-    from geotile.queries import QUERIES, _image_dir_for, _phash_nn_sql
+    from battery.queries import QUERIES, _image_dir_for, _phash_nn_sql
 
     img = _image_dir_for(SF)
     got = (QUERIES["phash_nn_images"](SF).to_pandas()
@@ -1066,7 +1066,7 @@ def test_blob_count_images_oracle(ray_session, con):
     """Vectorized min-neighbour label relaxation vs the scalar
     flood-fill replay at sf0.001 — two different algorithms, one
     blob count."""
-    from geotile.queries import (QUERIES, _blob_count_sql,
+    from battery.queries import (QUERIES, _blob_count_sql,
                                  _image_dir_for)
 
     img = _image_dir_for(SF)
@@ -1082,7 +1082,7 @@ def test_blob_count_images_oracle(ray_session, con):
 def test_audio_onsets_tracks_oracle(ray_session, con):
     """Shifted-compare onset fold over the shared AudioFrameStage
     ledger vs the python-int replay at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_onsets_sql)
 
     aud = _audio_dir_for(SF)
@@ -1098,7 +1098,7 @@ def test_audio_onsets_tracks_oracle(ray_session, con):
 def test_range_density_labels_oracle(ray_session, con):
     """Gram-matmul range counts vs the early-exit scalar replay at
     sf0.001."""
-    from geotile.queries import QUERIES, _range_density_sql
+    from battery.queries import QUERIES, _range_density_sql
 
     got = (QUERIES["range_density_labels"](SF).to_pandas()
            .sort_values("label").reset_index(drop=True))
@@ -1112,7 +1112,7 @@ def test_range_density_labels_oracle(ray_session, con):
 def test_disc_tile_counts_oracle(ray_session, con):
     """Flagship spatial join against the 256-disc dimension set vs the
     even-odd crossing replay over the poly_edges sidecar at sf0.001."""
-    from geotile.queries import QUERIES, _disc_tile_counts_sql
+    from battery.queries import QUERIES, _disc_tile_counts_sql
 
     got = (QUERIES["disc_tile_counts"]("/root/testdata/sf0.001")
            .to_pandas().sort_values("route_id").reset_index(drop=True))
@@ -1126,7 +1126,7 @@ def test_disc_tile_counts_oracle(ray_session, con):
 def test_mirror_symmetry_images_oracle(ray_session, con):
     """Vectorized flip-diff vs the per-pixel python replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for, _mirror_sql)
+    from battery.queries import (QUERIES, _image_dir_for, _mirror_sql)
 
     img = _image_dir_for(SF)
     got = (QUERIES["mirror_symmetry_images"](SF).to_pandas()
@@ -1141,7 +1141,7 @@ def test_mirror_symmetry_images_oracle(ray_session, con):
 def test_video_flicker_parts_oracle(ray_session, con):
     """Stacked flicker reduction vs the python-int per-pixel replay
     at sf0.001."""
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_flicker_sql)
 
     vid = _video_dir_for(SF)
@@ -1157,7 +1157,7 @@ def test_video_flicker_parts_oracle(ray_session, con):
 def test_quadkey_occupancy_oracle(ray_session, con):
     """Morton parent bit algebra vs the SQL encode replay at
     sf0.001."""
-    from geotile.queries import QUERIES, _quadkey_occupancy_sql
+    from battery.queries import QUERIES, _quadkey_occupancy_sql
 
     got = (QUERIES["quadkey_occupancy"](SF).to_pandas()
            .sort_values("occupancy").reset_index(drop=True))
@@ -1171,7 +1171,7 @@ def test_quadkey_occupancy_oracle(ray_session, con):
 def test_simhash_bit_bias_oracle(ray_session, con):
     """Engine shift-and-mask bit sums vs the scalar simhash sidecar at
     sf0.001."""
-    from geotile.queries import QUERIES, _simhash_bit_bias_sql
+    from battery.queries import QUERIES, _simhash_bit_bias_sql
 
     got = (QUERIES["simhash_bit_bias"](SF).to_pandas()
            .sort_values("bit").reset_index(drop=True))
@@ -1185,7 +1185,7 @@ def test_simhash_bit_bias_oracle(ray_session, con):
 def test_coverage_holes_cells_oracle(ray_session, con):
     """kNN-threshold fringe map vs the segments-sidecar d² replay at
     sf0.001."""
-    from geotile.queries import QUERIES, _coverage_holes_sql
+    from battery.queries import QUERIES, _coverage_holes_sql
 
     got = (QUERIES["coverage_holes_cells"]("/root/testdata/sf0.001")
            .to_pandas().sort_values("cell").reset_index(drop=True))
@@ -1198,7 +1198,7 @@ def test_coverage_holes_cells_oracle(ray_session, con):
 
 def test_nearest_route_share_oracle(ray_session, con):
     """kNN rank-0 share vs the rn=1 replay at sf0.001."""
-    from geotile.queries import QUERIES, _nearest_route_share_sql
+    from battery.queries import QUERIES, _nearest_route_share_sql
 
     got = (QUERIES["nearest_route_share"]("/root/testdata/sf0.001")
            .to_pandas().sort_values("route_id").reset_index(drop=True))
@@ -1213,7 +1213,7 @@ def test_nearest_route_share_oracle(ray_session, con):
 def test_cross_source_leakage_oracle(ray_session, con):
     """Near-dup cross-source pair counts vs the minhash-pairs sidecar
     joined to documents at sf0.001."""
-    from geotile.queries import QUERIES, _cross_source_leakage_sql
+    from battery.queries import QUERIES, _cross_source_leakage_sql
 
     got = (QUERIES["cross_source_leakage"](SF).to_pandas()
            .sort_values(["source_a", "source_b"])
@@ -1229,7 +1229,7 @@ def test_cross_source_leakage_oracle(ray_session, con):
 def test_closest_pair_tiles_oracle(ray_session, con):
     """Grid-bucketed closest pair vs the quantized-join replay at
     sf0.001 (same tie rule d2, ia, ib)."""
-    from geotile.queries import QUERIES, _closest_pair_sql
+    from battery.queries import QUERIES, _closest_pair_sql
 
     got = QUERIES["closest_pair_tiles"]("/root/testdata/sf0.001")
     exp = con.execute(
@@ -1242,7 +1242,7 @@ def test_closest_pair_tiles_oracle(ray_session, con):
 def test_audio_loudest_window_oracle(ray_session, con):
     """Cumsum sliding-window maxima over the shared frame ledger vs
     the python-int replay at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_loudest_sql)
 
     aud = _audio_dir_for(SF)
@@ -1258,7 +1258,7 @@ def test_audio_loudest_window_oracle(ray_session, con):
 def test_otsu_threshold_images_oracle(ray_session, con):
     """Vectorized int64 histogram/cumsum + python-int cross-mult
     argmax vs the Fraction replay at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for, _otsu_sql)
+    from battery.queries import (QUERIES, _image_dir_for, _otsu_sql)
 
     img = _image_dir_for(SF)
     got = (QUERIES["otsu_threshold_images"](SF).to_pandas()
@@ -1273,7 +1273,7 @@ def test_otsu_threshold_images_oracle(ray_session, con):
 def test_kcore_dups_oracle(ray_session, con):
     """Vectorized CSR batch peeling vs the pure-python dict peeling
     over the SQL cosine-join pairs at sf0.001."""
-    from geotile.queries import QUERIES, _kcore_sql
+    from battery.queries import QUERIES, _kcore_sql
 
     got = (QUERIES["kcore_dups"](SF)
            .sort_values("node").reset_index(drop=True))
@@ -1287,7 +1287,7 @@ def test_kcore_dups_oracle(ray_session, con):
 def test_audio_haar_detail_tracks_oracle(ray_session, con):
     """Reshape-diff-square batch tensor vs the python-int replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_haar_sql)
 
     aud = _audio_dir_for(SF)
@@ -1303,7 +1303,7 @@ def test_audio_haar_detail_tracks_oracle(ray_session, con):
 def test_video_quadrant_motion_oracle(ray_session, con):
     """Quadrant slices of the stacked |diff| tensor vs the per-pixel
     python replay at sf0.001."""
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_quadrant_sql)
 
     vid = _video_dir_for(SF)
@@ -1319,7 +1319,7 @@ def test_video_quadrant_motion_oracle(ray_session, con):
 def test_zorder_range_counts_oracle(ray_session, con):
     """Morton quadtree range decomposition vs the rectangle predicate
     replay on the quantized axes at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _zorder_range_sql)
 
     img = _image_dir_for(SF)
@@ -1335,7 +1335,7 @@ def test_zorder_range_counts_oracle(ray_session, con):
 def test_image_haar_bands_oracle(ray_session, con):
     """Block-tensor band energies vs the per-pixel python replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _image_haar_sql)
 
     img = _image_dir_for(SF)
@@ -1351,7 +1351,7 @@ def test_image_haar_bands_oracle(ray_session, con):
 def test_audio_walsh_bands_oracle(ray_session, con):
     """Hadamard matmul band energies vs the python-int frame replay
     at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_walsh_sql)
 
     aud = _audio_dir_for(SF)
@@ -1367,7 +1367,7 @@ def test_audio_walsh_bands_oracle(ray_session, con):
 def test_best_split_daily_oracle(ray_session, con):
     """Prefix-sum Fraction argmax vs the brute-force segment-sum
     replay at sf0.001."""
-    from geotile.queries import QUERIES, _best_split_sql
+    from battery.queries import QUERIES, _best_split_sql
 
     got = QUERIES["best_split_daily"](SF).reset_index(drop=True)
     exp = con.execute(_best_split_sql(SF)).df()
@@ -1379,7 +1379,7 @@ def test_best_split_daily_oracle(ray_session, con):
 def test_largest_blob_images_oracle(ray_session, con):
     """Min-relaxation labelling + bincount vs the scalar flood-fill
     replay at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _largest_blob_sql)
 
     img = _image_dir_for(SF)
@@ -1395,7 +1395,7 @@ def test_largest_blob_images_oracle(ray_session, con):
 def test_containment_pairs_docs_oracle(ray_session, con):
     """Vectorized shingle-set intersections vs the scalar shingle
     replay at sf0.001."""
-    from geotile.queries import QUERIES, _containment_sql
+    from battery.queries import QUERIES, _containment_sql
 
     got = (QUERIES["containment_pairs_docs"](SF).to_pandas()
            .sort_values(["a", "b"]).reset_index(drop=True))
@@ -1409,7 +1409,7 @@ def test_containment_pairs_docs_oracle(ray_session, con):
 def test_video_temporal_haar_oracle(ray_session, con):
     """Frame-ledger index algebra vs the python-int replay at
     sf0.001."""
-    from geotile.queries import (QUERIES, _video_dir_for,
+    from battery.queries import (QUERIES, _video_dir_for,
                                  _video_thaar_sql)
 
     vid = _video_dir_for(SF)
@@ -1425,7 +1425,7 @@ def test_video_temporal_haar_oracle(ray_session, con):
 def test_sig_agreement_pairs_docs_oracle(ray_session, con):
     """Vectorized flat-segment signer vs the scalar fold61 signature
     replay at sf0.001."""
-    from geotile.queries import QUERIES, _sig_agreement_sql
+    from battery.queries import QUERIES, _sig_agreement_sql
 
     got = (QUERIES["sig_agreement_pairs_docs"](SF).to_pandas()
            .sort_values(["a", "b"]).reset_index(drop=True))
@@ -1439,7 +1439,7 @@ def test_sig_agreement_pairs_docs_oracle(ray_session, con):
 def test_gray_modes_images_oracle(ray_session, con):
     """Histogram-tensor double argmax vs the per-pixel python replay
     at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _gray_modes_sql)
 
     img = _image_dir_for(SF)
@@ -1454,7 +1454,7 @@ def test_gray_modes_images_oracle(ray_session, con):
 
 def test_audio_peak_tracks_oracle(ray_session, con):
     """Stacked |abs| argmax vs the python scan replay at sf0.001."""
-    from geotile.queries import (QUERIES, _audio_dir_for,
+    from battery.queries import (QUERIES, _audio_dir_for,
                                  _audio_peak_sql)
 
     aud = _audio_dir_for(SF)
@@ -1470,7 +1470,7 @@ def test_audio_peak_tracks_oracle(ray_session, con):
 def test_quadtree_depth_images_oracle(ray_session, con):
     """Level-synchronous tensor decomposition vs the recursive python
     replay at sf0.001."""
-    from geotile.queries import (QUERIES, _image_dir_for,
+    from battery.queries import (QUERIES, _image_dir_for,
                                  _quadtree_sql)
 
     img = _image_dir_for(SF)

@@ -8,7 +8,7 @@ class impossible to reintroduce:
 - no top-level name may be defined in two different query modules, and
   none may be defined twice within one module (AST-level, so it also
   catches shadowing that the import-time ``__defined__`` guard in
-  ``geotile/queries/__init__.py`` would miss after an edit);
+  ``battery/queries/__init__.py`` would miss after an edit);
 - every module's ``__defined__`` registry matches its actual AST
   definitions (keeps the cheap import-time guard honest);
 - the driver-facing surface is intact: 715 queries, every oracle key is
@@ -25,7 +25,7 @@ import ast
 import re
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parent.parent / "geotile" / "queries"
+PKG = Path(__file__).resolve().parent.parent / "battery" / "queries"
 MODULES = sorted(p for p in PKG.glob("b*.py"))
 
 
@@ -78,7 +78,7 @@ def test_no_duplicate_toplevel_names_across_modules():
                 if name in owner and owner[name] != path.name:
                     raise AssertionError(
                         f"{name!r} defined in both {owner[name]} and "
-                        f"{path.name} — the merged geotile.queries "
+                        f"{path.name} — the merged battery.queries "
                         "namespace would silently shadow one")
                 owner[name] = path.name
 
@@ -87,7 +87,7 @@ def test_defined_registry_matches_ast():
     import importlib
 
     for path in MODULES:
-        mod = importlib.import_module(f"geotile.queries.{path.stem}")
+        mod = importlib.import_module(f"battery.queries.{path.stem}")
         ast_defs = set(_module_defs(path)) - {"__defined__"}
         reg = set(mod.__defined__)
         missing = ast_defs - reg
@@ -98,7 +98,7 @@ def test_defined_registry_matches_ast():
 
 
 def test_driver_surface_intact():
-    from geotile.queries import ORACLE_SQL, QUERIES
+    from battery.queries import ORACLE_SQL, QUERIES
 
     assert len(QUERIES) == 715
     assert set(ORACLE_SQL) <= set(QUERIES)

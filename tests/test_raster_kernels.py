@@ -11,15 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from battery.geom.lattice import keys_to_lonlat, window_segment_keys
 from geotile.geojson import simplify_feature
 from geotile.geom import cells
-from geotile.geom.raster import (
-    Grid,
-    chain_ring_keys,
-    keys_to_lonlat,
-    trace_mask,
-    window_segment_keys,
-)
+from geotile.geom.raster import Grid, chain_ring_keys, trace_mask
 from geotile.geom.rdp import rdp
 
 # ---------------------------------------------------------------------------

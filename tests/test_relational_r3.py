@@ -30,7 +30,7 @@ class TestAsofJoin:
 
     @pytest.mark.parametrize("allow_eq", [False, True])
     def test_matches_brute_force(self, ray_session, allow_eq):
-        from geotile.ops.relational import asof_join
+        from battery.ops.relational import asof_join
 
         rng = np.random.default_rng(7)
         n_l, n_r = 400, 300
@@ -68,7 +68,7 @@ class TestAsofJoin:
         assert got == self._brute(left, right, "user_id", "ts", allow_eq)
 
     def test_empty_right(self, ray_session):
-        from geotile.ops.relational import asof_join
+        from battery.ops.relational import asof_join
 
         left = pd.DataFrame(
             {"lid": [1, 2], "user_id": [0, 1], "ts": [5, 6]}
@@ -85,7 +85,7 @@ class TestAsofJoin:
 
 class TestBandJoin:
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.relational import band_join
+        from battery.ops.relational import band_join
 
         rng = np.random.default_rng(23)
         n_l, n_r, band = 200, 300, 10
@@ -124,7 +124,7 @@ class TestBandJoin:
         assert got_pairs == sorted(exp) and len(exp) > 50
 
     def test_no_matches(self, ray_session):
-        from geotile.ops.relational import band_join
+        from battery.ops.relational import band_join
 
         left = pd.DataFrame(
             {"lid": [1], "user_id": [0],
@@ -160,7 +160,7 @@ class TestNgramJaccard:
         return sorted(out)
 
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.dedup import ngram_jaccard_pairs
+        from battery.ops.dedup import ngram_jaccard_pairs
 
         rng = np.random.default_rng(3)
         vocab = [f"w{i}" for i in range(30)]
@@ -198,7 +198,7 @@ class TestNgramJaccard:
         # C(120,2) pairs at J=1 — any per-shingle pair cap (the LSH
         # paths have MAX_BUCKET; this path deliberately must NOT) would
         # silently drop pairs the SQL oracle returns
-        from geotile.ops.dedup import ngram_jaccard_pairs
+        from battery.ops.dedup import ngram_jaccard_pairs
 
         n = 120
         df = pd.DataFrame(
@@ -215,7 +215,7 @@ class TestNgramJaccard:
         assert (got.d1 < got.d2).all()
 
     def test_exact_duplicates_and_no_pairs(self, ray_session):
-        from geotile.ops.dedup import ngram_jaccard_pairs
+        from battery.ops.dedup import ngram_jaccard_pairs
 
         df = pd.DataFrame(
             {
@@ -236,7 +236,7 @@ class TestExactQuantiles:
     def _check(self, ray_session, vals, q_pcts=(25, 50, 75, 95, 99), **kw):
         import ray.data as rd
 
-        from geotile.ops.quantile import exact_quantiles
+        from battery.ops.quantile import exact_quantiles
 
         ds = rd.from_arrow(
             pa.table({"value": pa.array(vals, pa.float64())})
@@ -267,7 +267,7 @@ class TestExactQuantiles:
     def test_empty(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.quantile import exact_quantiles
+        from battery.ops.quantile import exact_quantiles
 
         ds = rd.from_arrow(pa.table({"value": pa.array([], pa.float64())}))
         out = exact_quantiles(ds, "value")
@@ -278,7 +278,7 @@ class TestGroupedQuantiles:
     def test_matches_brute_force(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.quantile import grouped_quantiles
+        from battery.ops.quantile import grouped_quantiles
 
         rng = np.random.default_rng(19)
         groups = np.array(["a", "b", "c", "d"])[rng.integers(0, 4, 6000)]
@@ -301,7 +301,7 @@ class TestGroupedQuantiles:
     def test_tiny_groups(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.quantile import grouped_quantiles
+        from battery.ops.quantile import grouped_quantiles
 
         ds = rd.from_arrow(
             pa.table({"g": pa.array(["x", "y", "y"]),
@@ -315,7 +315,7 @@ class TestBloomSemiJoin:
     def test_prefilter_has_no_false_negatives_and_join_is_exact(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.bloom import bloom_build, bloom_prefilter, bloom_semi_join
+        from battery.ops.bloom import bloom_build, bloom_prefilter, bloom_semi_join
 
         rng = np.random.default_rng(7)
         keys = np.unique(rng.integers(0, 1 << 40, 500))
@@ -345,7 +345,7 @@ class TestBloomSemiJoin:
     def test_negative_keys_and_tiny_filter(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.bloom import bloom_semi_join
+        from battery.ops.bloom import bloom_semi_join
 
         fact = rd.from_arrow(
             pa.table({"k": pa.array([-5, -5, 0, 3, 9], pa.int64()),
@@ -360,7 +360,7 @@ class TestSemiJoin:
     def test_both_paths_match_pandas(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.relational import semi_join
+        from battery.ops.relational import semi_join
 
         rng = np.random.default_rng(3)
         fk = rng.integers(0, 500, 4000)
@@ -380,7 +380,7 @@ class TestSemiJoin:
     def test_empty_keys(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.relational import semi_join
+        from battery.ops.relational import semi_join
 
         fact = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
         kds = rd.from_arrow(pa.table({"key": pa.array([], pa.int64())}))
@@ -392,7 +392,7 @@ class TestGroupedRangeRolling:
     def test_matches_brute_force(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.relational import grouped_range_rolling
+        from battery.ops.relational import grouped_range_rolling
 
         rng = np.random.default_rng(17)
         n = 800
@@ -415,7 +415,7 @@ class TestGroupedRangeRolling:
     def test_peers_share_frame(self, ray_session):
         import ray.data as rd
 
-        from geotile.ops.relational import grouped_range_rolling
+        from battery.ops.relational import grouped_range_rolling
 
         ds = rd.from_arrow(pa.table({
             "k": pa.array([1, 1, 1], pa.int64()),

@@ -36,7 +36,7 @@ class TestGroupedIslands:
         return sorted(out)
 
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.relational import grouped_islands
+        from battery.ops.relational import grouped_islands
 
         rng = np.random.default_rng(11)
         df = pd.DataFrame({
@@ -54,7 +54,7 @@ class TestGroupedIslands:
 
 class TestSnapshotDiff:
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.relational import snapshot_diff
+        from battery.ops.relational import snapshot_diff
 
         rng = np.random.default_rng(5)
         keys = rng.permutation(500).astype(np.int64)
@@ -78,7 +78,7 @@ class TestSnapshotDiff:
         assert sorted(map(tuple, got.to_numpy())) == sorted(exp)
 
     def test_duplicate_key_contract(self, ray_session):
-        from geotile.ops.relational import snapshot_diff
+        from battery.ops.relational import snapshot_diff
 
         a = pd.DataFrame({"k": np.array([1, 1], np.int64),
                           "v": np.array([2, 3], np.int64)})
@@ -92,7 +92,7 @@ class TestSnapshotDiff:
 class TestGlobalRowNumber:
     @pytest.mark.parametrize("shift", [0, 3, 8])
     def test_matches_argsort(self, ray_session, shift):
-        from geotile.ops.relational import global_row_number
+        from battery.ops.relational import global_row_number
 
         rng = np.random.default_rng(3)
         df = pd.DataFrame({
@@ -111,7 +111,7 @@ class TestGlobalRowNumber:
 
 class TestProfileDataset:
     def test_exact_profile(self, ray_session):
-        from geotile.ops.profile import profile_dataset
+        from battery.ops.profile import profile_dataset
 
         rng = np.random.default_rng(9)
         n = 2000
@@ -137,7 +137,7 @@ class TestProfileDataset:
 
 class TestFuzzyTokenPairs:
     def test_levenshtein_kernel(self):
-        from geotile.ops.fuzzy import levenshtein
+        from battery.ops.fuzzy import levenshtein
 
         assert levenshtein("", "abc") == 3
         assert levenshtein("kitten", "sitting") == 3
@@ -145,7 +145,7 @@ class TestFuzzyTokenPairs:
         assert levenshtein("a", "a") == 0
 
     def test_matches_brute_force(self, ray_session):
-        from geotile.ops.fuzzy import fuzzy_token_pairs, levenshtein
+        from battery.ops.fuzzy import fuzzy_token_pairs, levenshtein
 
         rng = np.random.default_rng(2)
         vocab = ["spark", "spork", "sprk", "stark", "shark", "park",
@@ -180,7 +180,7 @@ class TestIntervalSweep:
 
     @pytest.mark.parametrize("t_shift", [2, 6])
     def test_matches_brute_force(self, ray_session, t_shift):
-        from geotile.ops.relational import interval_max_concurrency
+        from battery.ops.relational import interval_max_concurrency
 
         rng = np.random.default_rng(4)
         a = rng.integers(0, 500, 300).astype(np.int64)
@@ -193,7 +193,7 @@ class TestIntervalSweep:
         assert int(got["n_intervals"].iloc[0]) == 300
 
     def test_session_intervals(self, ray_session):
-        from geotile.ops.relational import session_intervals
+        from battery.ops.relational import session_intervals
 
         rng = np.random.default_rng(6)
         n = 500

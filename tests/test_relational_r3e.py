@@ -73,7 +73,7 @@ def _cmp(got, exp):
 
 
 def test_spearman_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["spearman_users"](rand_sf).to_pandas()
     ev = _events(rand_sf)
@@ -95,7 +95,7 @@ def test_spearman_matches_brute(ray_session, rand_sf):
 
 
 def test_twap_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["twap_users"](rand_sf).to_pandas()
     ev = _events(rand_sf)
@@ -114,7 +114,7 @@ def test_twap_matches_brute(ray_session, rand_sf):
 
 
 def test_funnel_windowed_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["funnel_windowed_users"](rand_sf).to_pandas()
     ev = _events(rand_sf)
@@ -134,7 +134,7 @@ def test_funnel_windowed_matches_brute(ray_session, rand_sf):
 
 
 def test_watermark_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["watermark_late_events"](rand_sf).to_pandas()
     ev = pq.read_table(f"{rand_sf}/events.parquet").to_pandas()
@@ -158,7 +158,7 @@ def test_watermark_matches_brute(ray_session, rand_sf):
 
 
 def test_attribution_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["attribution_lasttouch"](rand_sf).to_pandas()
     ev = _events(rand_sf)
@@ -178,7 +178,7 @@ def test_attribution_matches_brute(ray_session, rand_sf):
 
 
 def test_stream_dedup_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["stream_dedup_ttl"](rand_sf).to_pandas()
     ev = _events(rand_sf)
@@ -200,7 +200,7 @@ def test_stream_dedup_matches_brute(ray_session, rand_sf):
 
 
 def test_keyspace_gaps_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["keyspace_gaps_orders"](rand_sf)
     o = pq.read_table(f"{rand_sf}/orders.parquet").to_pandas()
@@ -214,7 +214,7 @@ def test_keyspace_gaps_matches_brute(ray_session, rand_sf):
 
 
 def test_growth_accounting_matches_brute(ray_session, rand_sf):
-    from geotile.queries import QUERIES
+    from battery.queries import QUERIES
 
     got = QUERIES["growth_accounting_quarters"](rand_sf).to_pandas()
     o = pq.read_table(f"{rand_sf}/orders.parquet").to_pandas()

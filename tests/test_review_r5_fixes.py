@@ -44,7 +44,7 @@ def test_kmeans_rejects_dim_ge_4096(ray_session):
     import numpy as np
     import ray.data as rd
 
-    from geotile.ops.ann import kmeans_lloyd
+    from battery.ops.ann import kmeans_lloyd
 
     vecs = [np.zeros(4096, dtype=np.float64).tolist() for _ in range(4)]
     ds = rd.from_items(
@@ -78,7 +78,7 @@ def test_pair_dedup_distinct_and_max(ray_session):
     form keeps the max value per pair."""
     import ray.data as rd
 
-    from geotile.ops.dedup import pair_dedup
+    from battery.ops.dedup import pair_dedup
 
     rows = [{"a": 1, "b": 2, "cosine": 0.5},
             {"a": 1, "b": 2, "cosine": 0.9},
@@ -104,7 +104,7 @@ def test_ngram_prefix_vectorized_parity(ray_session):
 
     import ray.data as rd
 
-    from geotile.ops.dedup import ngram_jaccard_pairs
+    from battery.ops.dedup import ngram_jaccard_pairs
 
     texts = [
         "the quick brown fox jumps over the lazy dog today",

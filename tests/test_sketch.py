@@ -5,7 +5,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from geotile.ops.sketch import HLL, hll_distinct
+from battery.ops.sketch import HLL, hll_distinct
 from geotile.synth import splitmix64
 
 
@@ -26,7 +26,7 @@ class TestHll:
         assert abs(merged.estimate() - 80_000) / 80_000 < 0.05
 
     def test_misra_gries_bounds(self):
-        from geotile.ops.sketch import MisraGries
+        from battery.ops.sketch import MisraGries
 
         rng = np.random.default_rng(5)
         # zipf-ish: heavy hitters + uniform tail
@@ -46,7 +46,7 @@ class TestHll:
             assert 2000 - n / k <= top[item] <= 2000
 
     def test_mg_distributed(self, ray_session):
-        from geotile.ops.sketch import mg_topk
+        from battery.ops.sketch import mg_topk
 
         ds = rd.read_parquet("/root/testdata/sf0.001/events.parquet", columns=["event_type"])
         top = mg_topk(ds, "event_type", k=16, top=3)
@@ -66,8 +66,8 @@ class TestHll:
 class TestCountMin:
     def test_vectorized_matches_scalar_replay(self, ray_session):
         import ray.data as rd
-        from geotile.oracle_ref import cm_estimates_ref
-        from geotile.ops.sketch import cm_estimate, cm_sketch
+        from battery.oracle_ref import cm_estimates_ref
+        from battery.ops.sketch import cm_estimate, cm_sketch
 
         rng = np.random.default_rng(13)
         # heavy skew so collisions actually occur at w=64
@@ -83,7 +83,7 @@ class TestCountMin:
 
     def test_never_underestimates(self, ray_session):
         import ray.data as rd
-        from geotile.ops.sketch import cm_estimate, cm_sketch
+        from battery.ops.sketch import cm_estimate, cm_sketch
 
         rng = np.random.default_rng(5)
         vals = rng.integers(0, 200, 4000).astype(np.int64)

@@ -21,7 +21,7 @@ def embeddings(ray_session):
 
 class TestTextStats:
     def test_token_counts_match_split(self, docs):
-        from geotile.ops.text import doc_stats
+        from battery.ops.text import doc_stats
 
         df = doc_stats(docs).to_pandas()
         raw = docs.to_pandas()
@@ -32,7 +32,7 @@ class TestTextStats:
         assert df.quality.between(0, 1).all()
 
     def test_lang_id_reasonable(self, docs):
-        from geotile.ops.text import lang_id
+        from battery.ops.text import lang_id
 
         df = lang_id(docs).to_pandas()
         # synthetic docs are keyword soup; just require the stage runs,
@@ -43,7 +43,7 @@ class TestTextStats:
             assert (zh[zh.text.str.contains("[一-鿿]")].lang_pred == "zh").all()
 
     def test_fingerprint_deterministic_and_order_sensitive(self, ray_session):
-        from geotile.ops.text import fingerprint_batch
+        from battery.ops.text import fingerprint_batch
 
         t = pa.table({"text": ["a b c", "a b c", "c b a"]})
         f = fingerprint_batch(t)["fingerprint"].to_pylist()
@@ -53,7 +53,7 @@ class TestTextStats:
 
 class TestDedup:
     def test_exact_dedup(self, ray_session):
-        from geotile.ops.dedup import exact_dedup
+        from battery.ops.dedup import exact_dedup
 
         ds = rd.from_items(
             [
@@ -66,7 +66,7 @@ class TestDedup:
         assert out.doc_id.tolist() == [2, 9]
 
     def test_minhash_finds_planted_neardups(self, ray_session, docs):
-        from geotile.ops.dedup import jaccard, minhash_lsh_pairs
+        from battery.ops.dedup import jaccard, minhash_lsh_pairs
 
         base = docs.to_pandas().head(40)
         rows = [{"doc_id": int(r.doc_id), "text": r.text} for _, r in base.iterrows()]
@@ -94,7 +94,7 @@ class TestDedup:
         )
 
     def test_simhash_pairs(self, ray_session):
-        from geotile.ops.dedup import simhash_pairs
+        from battery.ops.dedup import simhash_pairs
 
         texts = {
             1: "the quick brown fox jumps over the lazy dog again and again today",
@@ -108,7 +108,7 @@ class TestDedup:
         assert (1, 3) not in got and (2, 3) not in got
 
     def test_embedding_dup_pairs(self, ray_session, embeddings):
-        from geotile.ops.dedup import embedding_dup_pairs
+        from battery.ops.dedup import embedding_dup_pairs
 
         df = embeddings.to_pandas()
         M = np.array(df.embedding.tolist())
@@ -126,7 +126,7 @@ class TestDedup:
 
 class TestAnn:
     def test_bruteforce_matches_numpy(self, ray_session, embeddings):
-        from geotile.ops.ann import topk_bruteforce
+        from battery.ops.ann import topk_bruteforce
 
         df = embeddings.to_pandas()
         M = np.array(df.embedding.tolist())
@@ -145,7 +145,7 @@ class TestAnn:
             assert got == exp.tolist()
 
     def test_ivf_recall(self, ray_session, embeddings):
-        from geotile.ops.ann import ivf_topk, topk_bruteforce
+        from battery.ops.ann import ivf_topk, topk_bruteforce
 
         df = embeddings.to_pandas()
         M = np.array(df.embedding.tolist())
@@ -161,7 +161,7 @@ class TestAnn:
         assert np.mean(recalls) > 0.6  # nprobe=4 of 8 centroids
 
     def test_hyperplane_buckets(self, ray_session, embeddings):
-        from geotile.ops.ann import hyperplane_buckets
+        from battery.ops.ann import hyperplane_buckets
 
         out = hyperplane_buckets(embeddings, n_planes=8).to_pandas()
         assert out.bucket.between(0, 255).all()
@@ -172,7 +172,7 @@ class TestEmbeddingDedupScale:
     def test_exact_multiblock_matches_single(self, ray_session, embeddings):
         """Force several object-store blocks so cross-block tiles are
         exercised; pairs must equal the single-block (brute) result."""
-        from geotile.ops.dedup import embedding_dup_pairs
+        from battery.ops.dedup import embedding_dup_pairs
 
         df = embeddings.to_pandas()
         M = np.array(df.embedding.tolist())
@@ -188,7 +188,7 @@ class TestEmbeddingDedupScale:
     def test_lsh_path_planted_dups(self, ray_session):
         """LSH method: exact precision always; recall checked on planted
         high-similarity duplicates (the regime the method is for)."""
-        from geotile.ops.dedup import embedding_dup_pairs
+        from battery.ops.dedup import embedding_dup_pairs
 
         rng = np.random.default_rng(11)
         base = rng.standard_normal((60, 32))
@@ -217,7 +217,7 @@ class TestHashedTokens:
     def test_matches_python_split(self):
         import pyarrow as pa
 
-        from geotile.ops.hashing import hashed_tokens
+        from battery.ops.hashing import hashed_tokens
 
         texts = ["a b  c", "", "   ", "one", "  x y  ", "héllo wörld", "a"*300 + " b"]
         h, off = hashed_tokens(pa.array(texts))
@@ -227,7 +227,7 @@ class TestHashedTokens:
     def test_same_token_same_hash_distinct_tokens_distinct(self):
         import pyarrow as pa
 
-        from geotile.ops.hashing import hashed_tokens
+        from battery.ops.hashing import hashed_tokens
 
         h, off = hashed_tokens(pa.array(["x y x z x", "x"]))
         d0 = h[off[0]:off[1]]
@@ -237,7 +237,7 @@ class TestHashedTokens:
     def test_rolling_fingerprint_order_sensitive_and_empty(self):
         import pyarrow as pa
 
-        from geotile.ops.hashing import hashed_tokens, rolling_fingerprints
+        from battery.ops.hashing import hashed_tokens, rolling_fingerprints
 
         h, off = hashed_tokens(pa.array(["a b c", "c b a", "a b c", ""]))
         fp = rolling_fingerprints(h, off)
@@ -252,7 +252,7 @@ class TestHashedTokens:
         import numpy as np
         import pyarrow as pa
 
-        from geotile.ops.dedup import simhash_batch
+        from battery.ops.dedup import simhash_batch
 
         a = simhash_batch(pa.table({"text": ["the quick brown fox", "", ""]}))
         b = simhash_batch(pa.table({"text": ["the quick brown fox"]}))
