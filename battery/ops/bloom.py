@@ -28,12 +28,10 @@ import ray.data as rd
 
 from geotile.synth import splitmix64
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _positions(keys: np.ndarray, m: int, k: int) -> np.ndarray:
     """(n, k) bit positions for int64 keys — k independent splitmix64
-    streams (seeded by i·GOLDEN), each reduced mod m. Vectorized."""
+    streams (seeded by (i+1)·0x9E3779B97F4A7C15), each reduced mod m.
+    Vectorized."""
     x = keys.astype(np.int64).view(np.uint64)
     out = np.empty((len(keys), k), dtype=np.int64)
     for i in range(k):

@@ -1,23 +1,17 @@
 """Stable 64-bit hashing shared by dedup/fingerprint stages.
 
 Python's builtin ``hash()`` is salted per process — useless across Ray
-workers. Two families live here:
-
-- ``stable_hash64``: blake2b(digest_size=8) for one-off string keys
-  (cold paths; deterministic everywhere).
-- ``hashed_tokens``: the HOT path — whitespace-tokenize a whole Arrow
-  string column and hash every token, fully vectorized. Tokenization is
-  ``pc.utf8_split_whitespace`` with empty tokens dropped (Python
-  ``str.split()`` semantics); each token is hashed with a polynomial
-  Rabin-Karp over its UTF-8 bytes (precomputed power table +
-  ``np.add.reduceat`` segment sums, uint64 wraparound) and finalized
-  with splitmix64. ~100× faster than per-token blake2b (the round-1
-  bottleneck: 6.4 s for 5k docs ⇒ ~800 docs/s/node).
+workers. ``hashed_tokens`` is the hot path: whitespace-tokenize a whole
+Arrow string column and hash every token, fully vectorized. Tokenization
+is ``pc.utf8_split_whitespace`` with empty tokens dropped (Python
+``str.split()`` semantics); each token is hashed with a polynomial
+Rabin-Karp over its UTF-8 bytes (precomputed power table +
+``np.add.reduceat`` segment sums, uint64 wraparound) and finalized with
+splitmix64. ~100× faster than per-token blake2b (the round-1
+bottleneck: 6.4 s for 5k docs ⇒ ~800 docs/s/node).
 """
 
 from __future__ import annotations
-
-from hashlib import blake2b
 
 import numpy as np
 import pyarrow as pa
@@ -30,10 +24,6 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 # hash of the empty token under the scheme below: splitmix64(0 ^ 0*GOLD)
 EMPTY_TOKEN_HASH = np.uint64(splitmix64(np.zeros(1, dtype=np.uint64))[0])
-
-
-def stable_hash64(s: str) -> int:
-    return int.from_bytes(blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
 
 
 def _poly_powers(n: int) -> np.ndarray:

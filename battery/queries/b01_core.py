@@ -51,6 +51,7 @@ import ray.data as rd
 
 from battery.ops.dissolve import _footprint_cells, dissolve_tile_footprints
 from battery.ops.images import ImageDecodeStage, ImageEmbedStage, ImageHistogramStage, ImageResizeStage
+from geotile.geom.buffer import RASTER_CELLS_PER_RADIUS
 
 
 _R = 4  # float rounding for driver value-hash comparability
@@ -1354,9 +1355,7 @@ def q_gtfs_buffer_stats(sf_dir: str):
     rows = []
     for rid in sorted(parts_by_route):
         lines = parts_by_route[rid]
-        mask, grid, _m, _lon0, _lat0, _mx, _my = buffer_raster(
-            lines, cfg.buffer_size_meters, cfg.raster_cells_per_radius
-        )
+        mask, grid, _m, _lon0, _lat0, _mx, _my = buffer_raster(lines, cfg.buffer_size_meters)
         area_octo, euler = _ring_stats(trace_mask(mask, grid), grid.step * grid.step)
         rows.append(
             {"route_id": rid, "n_pixels": int(mask.sum()),
@@ -1374,7 +1373,7 @@ def _dissolved_input_feats(ctx, cfg):
     from geotile.ops.stops import stop_features
 
     buffered = [
-        buffer_feature(f, cfg.buffer_size_meters, cfg.raster_cells_per_radius)
+        buffer_feature(f, cfg.buffer_size_meters)
         for f in stop_features(ctx, {})
     ]
     return _simplify({"type": "FeatureCollection", "features": buffered}, cfg)["features"]
@@ -1394,7 +1393,7 @@ def q_gtfs_dissolved_stats(sf_dir: str):
     ctx = _fixture_ctx()
     cfg = PipelineConfig(coordinate_precision=5)
     feats = _dissolved_input_feats(ctx, cfg)
-    cell_m = cfg.buffer_size_meters / cfg.raster_cells_per_radius
+    cell_m = cfg.buffer_size_meters / RASTER_CELLS_PER_RADIUS
     mask, grid, _metric, _lon0, _lat0, _mx, _my = dissolve_raster(feats, cell_m)
     area_octo, euler = _ring_stats(trace_mask(mask, grid), grid.step * grid.step)
     return pd.DataFrame(
@@ -5596,9 +5595,7 @@ def _buffer_segments_sidecar() -> str:
                                 "i0", "i1", "j0", "j1", "x0", "y0")}
         parts_by_route = _route_line_parts(ctx)
         for rid in sorted(parts_by_route):
-            _mask, grid, metric, _l0, _a0, _mx, _my = buffer_raster(
-                parts_by_route[rid], r, cfg.raster_cells_per_radius
-            )
+            _mask, grid, metric, _l0, _a0, _mx, _my = buffer_raster(parts_by_route[rid], r)
             for ml in metric:
                 segs = (
                     list(zip(ml[:-1], ml[1:])) if len(ml) > 1 else [(ml[0], ml[0])]
@@ -5645,7 +5642,7 @@ def _gtfs_buffer_stats_sql() -> str:
     from geotile.config import PipelineConfig
 
     cfg = PipelineConfig()
-    step = cfg.buffer_size_meters / cfg.raster_cells_per_radius
+    step = cfg.buffer_size_meters / RASTER_CELLS_PER_RADIUS
     r2 = cfg.buffer_size_meters * cfg.buffer_size_meters
     segs = _buffer_segments_sidecar()
     # DuckDB 1.0 can't take lateral column params in generate_series —
@@ -5710,7 +5707,7 @@ def _dissolve_edges_sidecar() -> str:
 
         ctx = _fixture_ctx()
         cfg = PipelineConfig(coordinate_precision=5)
-        cell_m = cfg.buffer_size_meters / cfg.raster_cells_per_radius
+        cell_m = cfg.buffer_size_meters / RASTER_CELLS_PER_RADIUS
         feats = _dissolved_input_feats(ctx, cfg)
         _mask, grid, metric, _l0, _a0, _mx, _my = dissolve_raster(feats, cell_m)
         cols = {k: [] for k in ("fid", "x1", "y1", "x2", "y2",
@@ -5751,7 +5748,7 @@ def _gtfs_dissolved_stats_sql() -> str:
     from geotile.config import PipelineConfig
 
     cfg = PipelineConfig(coordinate_precision=5)
-    step = cfg.buffer_size_meters / cfg.raster_cells_per_radius
+    step = cfg.buffer_size_meters / RASTER_CELLS_PER_RADIUS
     edges = _dissolve_edges_sidecar()
     et = pq.read_table(edges, columns=["fi0", "fi1", "fj0", "fj1"])
     wmax = int(pc.max(pc.subtract(et["fi1"], et["fi0"])).as_py() or 1)

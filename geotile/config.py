@@ -61,8 +61,6 @@ class PipelineConfig:
     # (feed dir or .zip). None → clear offline error when url configs
     # are used (no network in this environment).
     fetcher: object = None
-    # engine knob (no reference equivalent)
-    raster_cells_per_radius: int = 8   # raster resolution for buffer/dissolve
 
     def log(self, msg: str) -> None:
         if self.log_function is not None:

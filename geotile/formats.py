@@ -14,6 +14,7 @@ from typing import Any, Callable
 
 from geotile.config import PipelineConfig
 from geotile.geojson import simplify_feature
+from geotile.geom.buffer import RASTER_CELLS_PER_RADIUS
 from geotile.ops.derive import (
     buffer_feature,
     convex_feature,
@@ -76,10 +77,7 @@ def fmt_convex(ctx: GtfsContext, config: PipelineConfig, query: dict) -> dict | 
 
 
 def fmt_stops_buffer(ctx: GtfsContext, config: PipelineConfig, query: dict) -> dict | None:
-    feats = [
-        buffer_feature(f, config.buffer_size_meters, config.raster_cells_per_radius)
-        for f in stop_features(ctx, query)
-    ]
+    feats = [buffer_feature(f, config.buffer_size_meters) for f in stop_features(ctx, query)]
     return _simplify(_fc(feats), config)
 
 
@@ -87,18 +85,12 @@ def fmt_lines_buffer(ctx: GtfsContext, config: PipelineConfig, query: dict) -> d
     lines = route_lines(ctx, query)
     if lines is None:
         return None
-    feats = [
-        buffer_feature(f, config.buffer_size_meters, config.raster_cells_per_radius)
-        for f in lines
-    ]
+    feats = [buffer_feature(f, config.buffer_size_meters) for f in lines]
     return _simplify(_fc(feats), config)
 
 
 def _dissolved(feats: list[dict], ctx: GtfsContext, config: PipelineConfig) -> dict:
-    buffered = [
-        buffer_feature(f, config.buffer_size_meters, config.raster_cells_per_radius)
-        for f in feats
-    ]
+    buffered = [buffer_feature(f, config.buffer_size_meters) for f in feats]
     # "Simplify geoJSON buffers before unioning" (lines-dissolved.ts:20-22);
     # precision == 0 is valid (round to whole degrees) — only None skips
     simplified = (
@@ -106,7 +98,7 @@ def _dissolved(feats: list[dict], ctx: GtfsContext, config: PipelineConfig) -> d
         if config.coordinate_precision is not None
         else buffered
     )
-    cell_m = config.buffer_size_meters / config.raster_cells_per_radius
+    cell_m = config.buffer_size_meters / RASTER_CELLS_PER_RADIUS
     merged = dissolve_features(simplified, ctx.agency_name, cell_m=cell_m)
     return _simplify(_fc(merged), config)
 

@@ -9,9 +9,9 @@ difference is far below coordinatePrecision):
   * point buffer  → exact regular 32-gon disc (turf's default 8 steps
     per quarter = 32 vertices)
   * line buffer   → exact-per-pixel distance raster (distance_mask) at
-    ``radius / cells_per_radius`` resolution, traced back to polygons
-    with one-scan marching squares (trace_mask) and always RDP-smoothed
-    at half a pixel (level-batched rdp_ring)
+    ``radius / RASTER_CELLS_PER_RADIUS`` resolution, traced back to
+    polygons with one-scan marching squares (trace_mask) and always
+    RDP-smoothed at half a pixel (level-batched rdp_ring)
 
 Earth radius matches @turf/helpers (6371008.8 m).
 """
@@ -26,6 +26,7 @@ from geotile.geom.rdp import rdp_ring
 EARTH_RADIUS_M = 6371008.8
 _DEG = np.pi / 180.0
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * _DEG  # ~111194.93 m
+RASTER_CELLS_PER_RADIUS = 8  # buffer and dissolve raster pixels per radius
 
 
 def meter_frame(lat0: float) -> tuple[float, float]:
@@ -44,20 +45,8 @@ def disc(lon: float, lat: float, radius_m: float, steps: int = 32) -> np.ndarray
     return np.vstack([ring, ring[:1]])
 
 
-def discs_batch(lons: np.ndarray, lats: np.ndarray, radius_m: float, steps: int = 32) -> np.ndarray:
-    """Vectorized: (n,) centers → (n, steps+1, 2) closed rings."""
-    lons = np.asarray(lons, dtype=np.float64)[:, None]
-    lats = np.asarray(lats, dtype=np.float64)[:, None]
-    ang = np.linspace(0.0, 2.0 * np.pi, steps, endpoint=False)[None, :]
-    mx = METERS_PER_DEG_LAT * np.cos(lats * _DEG)
-    xs = lons + np.cos(ang) * radius_m / mx
-    ys = lats + np.sin(ang) * radius_m / METERS_PER_DEG_LAT
-    ring = np.stack([xs, ys], axis=-1)
-    return np.concatenate([ring, ring[:, :1, :]], axis=1)
-
-
 def buffer_raster(
-    lines: list[np.ndarray], radius_m: float, cells_per_radius: int = 8,
+    lines: list[np.ndarray], radius_m: float,
     fill_rings: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, Grid, list[np.ndarray], float, float, float, float]:
     """The raster-buffer internals: local meter frame, grid, and the
@@ -73,7 +62,7 @@ def buffer_raster(
         np.column_stack([(np.asarray(l)[:, 0] - lon0) * mx, (np.asarray(l)[:, 1] - lat0) * my])
         for l in lines
     ]
-    step = radius_m / cells_per_radius
+    step = radius_m / RASTER_CELLS_PER_RADIUS
     am = np.vstack(metric)
     x_min, y_min = am[:, 0].min() - radius_m, am[:, 1].min() - radius_m
     x_max, y_max = am[:, 0].max() + radius_m, am[:, 1].max() + radius_m
@@ -105,7 +94,6 @@ def buffer_raster(
 def buffer_polyline(
     lines: list[np.ndarray],
     radius_m: float,
-    cells_per_radius: int = 8,
     fill_rings: list[np.ndarray] | None = None,
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Buffer one or more polylines ((m,2) lon/lat arrays, treated as one
@@ -114,7 +102,7 @@ def buffer_polyline(
     even-odd interior ORs into the mask — pass a Polygon's rings here so
     its buffer is the filled expansion, not a boundary annulus."""
     mask, grid, _metric, lon0, lat0, mx, my = buffer_raster(
-        lines, radius_m, cells_per_radius, fill_rings=fill_rings
+        lines, radius_m, fill_rings=fill_rings
     )
     step = grid.step
     polys = mask_to_polygons(mask, grid)

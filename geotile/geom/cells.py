@@ -9,9 +9,7 @@ A cell id is a single ``uint64``:
 lon spans [-180, 180) and lat spans [-90, 90); both are quantized into
 2**r equal steps (so cells are 2:1 anisotropic in degrees, like the
 equirectangular frame the rest of the engine uses). Aperture 4: each
-cell has exactly 4 children — ``parent``/``children`` are bit shifts,
-and ``k_ring`` is the square (2k+1)² neighborhood with longitude wrap
-and latitude clamp.
+cell has exactly 4 children — ``parent``/``children`` are bit shifts.
 
 This plays the role H3's hex index plays in the north_star: a uint64
 key that hash-partitions the spatial join, supports multi-resolution
@@ -154,29 +152,6 @@ def children(cell: int) -> np.ndarray:
     base = (cell & ~_RES_MASK) << np.uint64(2)
     kids = base + np.arange(4, dtype=np.uint64)
     return kids | (np.uint64(res + 1) << RES_SHIFT)
-
-
-def k_ring(cell: np.ndarray, k: int = 1) -> np.ndarray:
-    """All cells within Chebyshev distance k of each input cell
-    (including the cell itself). Longitude wraps; latitude clamps.
-    Returns a flat unique array when given one cell; for vector input
-    returns shape (n, (2k+1)**2) with duplicates possible at lat edges.
-    """
-    cell = np.atleast_1d(np.asarray(cell, dtype=np.uint64))
-    res = resolution(cell)
-    if not np.all(res == res[0]):
-        raise ValueError("k_ring requires uniform resolution")
-    r = int(res[0])
-    n = np.int64(1 << r)
-    ix, iy = to_ixy(cell)
-    d = np.arange(-k, k + 1, dtype=np.int64)
-    dx, dy = np.meshgrid(d, d, indexing="ij")
-    nx = (ix[:, None] + dx.ravel()[None, :]) % n          # lon wrap
-    ny = np.clip(iy[:, None] + dy.ravel()[None, :], 0, n - 1)  # lat clamp
-    out = from_ixy(nx.ravel(), ny.ravel(), r).reshape(len(cell), -1)
-    if out.shape[0] == 1:
-        return np.unique(out[0])
-    return out
 
 
 def cell_size_degrees(res: int) -> tuple[float, float]:

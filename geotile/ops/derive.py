@@ -14,7 +14,7 @@ import numpy as np
 
 from geotile.geojson import feature
 from geotile.geom.bbox import bbox_merge, bbox_partial, bbox_polygon
-from geotile.geom.buffer import buffer_polyline, disc, meter_frame
+from geotile.geom.buffer import _to_lonlat, buffer_polyline, disc, meter_frame
 from geotile.geom.hull import convex_hull
 from geotile.geom.raster import Grid, mask_to_polygons, polygon_mask
 
@@ -60,7 +60,7 @@ def convex_feature(points: np.ndarray, agency_name: str | None) -> dict | None:
     return feature("Polygon", [hull.tolist()], {"agency_name": agency_name})
 
 
-def buffer_feature(f: dict, radius_m: float, cells_per_radius: int = 8) -> dict:
+def buffer_feature(f: dict, radius_m: float) -> dict:
     """Buffer ONE feature (reference @turf/buffer, units meters):
     Point → 32-gon disc Polygon; (Multi)LineString → raster distance
     buffer → Polygon or MultiPolygon. Properties ride through."""
@@ -82,8 +82,7 @@ def buffer_feature(f: dict, radius_m: float, cells_per_radius: int = 8) -> dict:
         fill_rings = lines
     else:
         raise ValueError(f"cannot buffer {g['type']}")
-    polys = buffer_polyline(lines, radius_m, cells_per_radius,
-                            fill_rings=fill_rings)
+    polys = buffer_polyline(lines, radius_m, fill_rings=fill_rings)
     if len(polys) == 1:
         outer, holes = polys[0]
         return feature("Polygon", [outer.tolist()] + [h.tolist() for h in holes], f["properties"])
@@ -158,10 +157,6 @@ def dissolve_features(feats: list[dict], agency_name: str | None,
     mask, grid, metric, lon0, lat0, mx, my = dissolve_raster(feats, cell_m)
     out = []
     for outer, holes in mask_to_polygons(mask, grid):
-        coords = [_back(outer, lon0, lat0, mx, my)] + [_back(h, lon0, lat0, mx, my) for h in holes]
+        coords = [_to_lonlat(r, lon0, lat0, mx, my).tolist() for r in [outer, *holes]]
         out.append(feature("Polygon", coords, {"agency_name": agency_name}))
     return out
-
-
-def _back(ring: np.ndarray, lon0, lat0, mx, my) -> list:
-    return np.column_stack([ring[:, 0] / mx + lon0, ring[:, 1] / my + lat0]).tolist()

@@ -15,9 +15,10 @@ counts combine per block and merge in a two-level tree.
 Rows whose lon/lat ``cells.encode`` would clamp into an edge cell (NaN,
 infinite or out of range) never join and never count.
 
-Join resolution: cells are dilated one ring at build time so candidate
-pruning has NO false negatives (verified in tests against a brute-force
-oracle).
+Candidate pruning has no false negatives: each polygon's cells are its
+exact cover, the cells whose centre is inside plus every cell an edge
+crosses, so a point inside the polygon lies in a cover cell (verified in
+tests against a brute-force oracle).
 """
 
 from __future__ import annotations
@@ -46,20 +47,21 @@ _ANCHOR_LAT = 37.4
 _ANCHOR_LON = -122.1
 
 
-FULL, OUTSIDE = -1, -2  # RouteIndex.cell_bnd codes of pairs needing no test
+FULL = -1  # RouteIndex.cell_bnd code of a pair whose cell is inside its polygon
 
 
 @dataclass
 class RouteIndex:
     """Broadcastable flat cell→polygon index.
 
-    Polygon ``i`` is in route ``route_ids[poly_route[i]]``; polygon ids
-    rise with the route index (the polygon count is ``len(poly_route)``).
-    CSR over (cell, polygon) pairs sorted by cell, then polygon: cell
-    ``cell_keys[j]`` owns pairs ``cell_offsets[j]:cell_offsets[j+1]``,
-    each with its polygon, route and boundary record (``cell_bnd``, or
-    ``FULL``: cell inside the polygon; ``OUTSIDE``: no edge crosses the
-    cell and its corner is outside, e.g. the dilation ring).
+    Polygon ids rise with the route index. CSR over (cell, polygon)
+    pairs sorted by cell, then polygon: cell ``cell_keys[j]`` owns pairs
+    ``cell_offsets[j]:cell_offsets[j+1]``, each with its polygon, its
+    route (an index into ``route_ids``) and its boundary record
+    (``cell_bnd``, or ``FULL``: cell inside the polygon). The pairs are
+    the polygon's exact cover (``polygon_cover``): a cell is ``FULL``
+    when its centre is inside and no edge crosses it, and every other
+    cell has at least one crossing edge in its record.
 
     Boundary record ``b`` is grid-localized PIP for one (cell, polygon)
     pair: the epsilon-inset lower-left cell corner (``bnd_x``, ``bnd_y``),
@@ -71,12 +73,11 @@ class RouteIndex:
 
     res: int
     route_ids: list[str]
-    poly_route: np.ndarray  # int32 → index into route_ids
     cell_keys: np.ndarray   # uint64 sorted
     cell_offsets: np.ndarray  # int32
     cell_polys: np.ndarray  # int32
-    cell_route: np.ndarray  # int32, poly_route[cell_polys]
-    cell_bnd: np.ndarray    # int32 boundary record, or FULL / OUTSIDE
+    cell_route: np.ndarray  # int32 → index into route_ids
+    cell_bnd: np.ndarray    # int32 boundary record, or FULL
     bnd_x: np.ndarray
     bnd_y: np.ndarray
     bnd_in: np.ndarray      # bool
@@ -141,34 +142,37 @@ def build_route_index(
     route_polygons: dict[str, list[tuple[np.ndarray, list[np.ndarray]]]],
     res: int = DEFAULT_JOIN_RES,
 ) -> RouteIndex:
-    """Driver-side build (the polygon side is dimension-scale): cover
-    cells per polygon, dilated one k-ring so centroid candidates are a
-    superset of true hits; CSR-pack cell→polys; one boundary record per
-    (boundary cell, polygon) with the edges the cover's supercover put
-    in that cell.
+    """Driver-side build (the polygon side is dimension-scale): the
+    exact cover of each polygon (``polygon_cover``), CSR-packed
+    cell→polys, with one boundary record per (boundary cell, polygon)
+    holding the edges the cover's supercover put in that cell.
+
+    No false negatives: a cell no edge crosses lies wholly inside or
+    wholly outside the polygon, as its centre does. So a point inside
+    the polygon lies in an interior cell (centre inside, ``FULL``) or in
+    a cell an edge crosses (the batched ``supercover``), which carries
+    those edges in its record.
 
     Rings are closed first with the rule ``points_in_polygon`` uses
     (``pip.close_rings``), so an open ring joins like its closed copy. A
     non-finite vertex raises ``ValueError`` naming the route and the
     polygon."""
     route_ids = sorted(route_polygons)
-    poly_route: list[int] = []
-    pairs_cell, pairs_poly, pairs_bnd = [], [], []
+    pairs_cell, pairs_poly, pairs_route, pairs_bnd = [], [], [], []
     bnd_x, bnd_y, bnd_in, bnd_count = [], [], [], []
     e_a, e_b = [], []
-    n_bnd = 0
+    n_bnd = n_poly = 0
     for ri, rid in enumerate(route_ids):
         for k, (outer, holes) in enumerate(route_polygons[rid]):
             rings = close_rings([outer, *holes])
             if not all(np.isfinite(r).all() for r in rings):
                 raise ValueError(
                     f"route {rid!r} polygon {k}: non-finite vertex")
-            pid = len(poly_route)
-            poly_route.append(ri)
+            pid = n_poly
+            n_poly += 1
             if not rings:
                 continue  # no ring with area: no cells
             cov, interior, edge, edge_cell = polygon_cover(rings, res)
-            cov = np.unique(cells.k_ring(cov, 1).ravel())  # dilate 1 ring
             full = np.isin(cov, interior)
             boundary = cov[~full]
             # each (edge, cell) crossing lands in its cell's record;
@@ -180,51 +184,41 @@ def build_route_index(
             rec, edge = rec[ok], edge[ok]
             o = np.argsort(rec, kind="stable")
             rec, edge = rec[o], edge[o]
-            n_edges = np.bincount(rec, minlength=len(boundary))
             # epsilon-inset lower-left corners + their inside status
             w, s_, e_, n_ = cells.cell_bounds(boundary)
             cx = w + (e_ - w) * 1e-6
             cy = s_ + (n_ - s_) * 1e-6
-            corner_in = points_in_polygon(cx, cy, rings)
-            # a cell no edge crosses takes its corner's status: drop the
-            # records of the ones outside
-            live = (n_edges > 0) | corner_in
-            rec_id = np.full(len(boundary), OUTSIDE, np.int64)
-            rec_id[live] = n_bnd + np.arange(int(live.sum()))
-            n_bnd += int(live.sum())
             bnd = np.full(len(cov), FULL, np.int64)
-            bnd[~full] = rec_id
+            bnd[~full] = n_bnd + np.arange(len(boundary))
+            n_bnd += len(boundary)
             pairs_cell.append(cov)
             pairs_poly.append(np.full(len(cov), pid, dtype=np.int32))
+            pairs_route.append(np.full(len(cov), ri, dtype=np.int32))
             pairs_bnd.append(bnd)
             a = np.vstack([r[:-1] for r in rings])
             b = np.vstack([r[1:] for r in rings])
             e_a.append(a[edge])
             e_b.append(b[edge])
-            bnd_count.append(n_edges[live])
-            bnd_x.append(cx[live])
-            bnd_y.append(cy[live])
-            bnd_in.append(corner_in[live])
+            bnd_count.append(np.bincount(rec, minlength=len(boundary)))
+            bnd_x.append(cx)
+            bnd_y.append(cy)
+            bnd_in.append(points_in_polygon(cx, cy, rings))
     cat = (lambda xs, dt: np.concatenate(xs).astype(dt, copy=False) if xs
            else np.empty(0, dt))
     cell_all = cat(pairs_cell, np.uint64)
-    poly_all = cat(pairs_poly, np.int32)
-    bnd_all = cat(pairs_bnd, np.int32)
     order = np.argsort(cell_all, kind="stable")  # polygon order within a cell
-    cell_all, poly_all, bnd_all = cell_all[order], poly_all[order], bnd_all[order]
+    cell_all = cell_all[order]
     keys, starts = np.unique(cell_all, return_index=True)
-    poly_route_a = np.asarray(poly_route, dtype=np.int32)
     a = np.concatenate(e_a) if e_a else np.empty((0, 2))
     b = np.concatenate(e_b) if e_b else np.empty((0, 2))
     return RouteIndex(
         res=res,
         route_ids=route_ids,
-        poly_route=poly_route_a,
         cell_keys=keys,
         cell_offsets=np.concatenate([starts, [len(cell_all)]]).astype(np.int32),
-        cell_polys=poly_all,
-        cell_route=poly_route_a[poly_all],
-        cell_bnd=bnd_all,
+        cell_polys=cat(pairs_poly, np.int32)[order],
+        cell_route=cat(pairs_route, np.int32)[order],
+        cell_bnd=cat(pairs_bnd, np.int32)[order],
         bnd_x=cat(bnd_x, np.float64),
         bnd_y=cat(bnd_y, np.float64),
         bnd_in=cat(bnd_in, bool),
@@ -848,12 +842,16 @@ def route_buffer_polygons(ctx, config) -> dict[str, list[tuple[np.ndarray, list[
     return out
 
 
-def route_polylines(ctx, tolerance_deg: float = 1e-4) -> dict[str, list[np.ndarray]]:
+_ROUTE_RDP_DEG = 1e-4  # route_polylines' RDP tolerance, ~11 m
+
+
+def route_polylines(ctx) -> dict[str, list[np.ndarray]]:
     """Route centerline PARTS for kNN (one array per LineString part —
     concatenating parts would create phantom segments between disjoint
-    shapes), RDP-simplified at ~11 m so per-tile distance scans touch
-    few segments (kNN semantics are defined over this simplified
-    centerline; distance error ≤ tolerance, far below route spacing)."""
+    shapes), RDP-simplified at ``_ROUTE_RDP_DEG`` so per-tile distance
+    scans touch few segments (kNN semantics are defined over this
+    simplified centerline; distance error ≤ tolerance, far below route
+    spacing)."""
     from geotile.geom.rdp import rdp
     from geotile.ops.lines import route_lines
 
@@ -862,5 +860,5 @@ def route_polylines(ctx, tolerance_deg: float = 1e-4) -> dict[str, list[np.ndarr
         rid = f["properties"]["route_id"]
         g = f["geometry"]
         parts = [g["coordinates"]] if g["type"] == "LineString" else g["coordinates"]
-        out[rid] = [rdp(np.asarray(p, np.float64), tolerance_deg) for p in parts]
+        out[rid] = [rdp(np.asarray(p, np.float64), _ROUTE_RDP_DEG) for p in parts]
     return out

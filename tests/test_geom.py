@@ -5,7 +5,7 @@ import pytest
 
 from geotile.geom import cells
 from geotile.geom.bbox import bbox_merge, bbox_partial, bbox_polygon
-from geotile.geom.buffer import EARTH_RADIUS_M, buffer_polyline, disc, discs_batch, meter_frame
+from geotile.geom.buffer import EARTH_RADIUS_M, buffer_polyline, disc, meter_frame
 from geotile.geom.hull import convex_hull
 from geotile.geom.pip import (
     points_in_polygon,
@@ -60,22 +60,6 @@ class TestCells:
         assert cells.resolution(p5)[0] == 5
         lon, lat = cells.cell_center(p5)
         assert abs(lon[0] - (-122.0)) < 360 / 2**5
-
-    def test_k_ring(self):
-        c = cells.encode(np.array([-122.0]), np.array([37.5]), 10)
-        ring = cells.k_ring(c[0], 1)
-        assert len(ring) == 9
-        # all neighbors are adjacent in ix/iy
-        ix, iy = cells.to_ixy(ring)
-        ix0, iy0 = cells.to_ixy(c)
-        assert np.all(np.abs(ix - ix0[0]) <= 1)
-        assert np.all(np.abs(iy - iy0[0]) <= 1)
-
-    def test_k_ring_lon_wrap(self):
-        c = cells.encode(np.array([-179.99]), np.array([0.0]), 8)
-        ring = cells.k_ring(c[0], 1)
-        lons, _ = cells.cell_center(ring)
-        assert (lons > 170).any() and (lons < -170).any()
 
     def test_distinct_cells(self):
         # two points one cell apart get different ids
@@ -278,13 +262,6 @@ class TestBuffer:
         mx, my = meter_frame(37.5)
         d = np.hypot((ring[:, 0] + 122.0) * mx, (ring[:, 1] - 37.5) * my)
         assert d == pytest.approx(400.0, rel=1e-6)
-
-    def test_discs_batch_matches_scalar(self):
-        lons = np.array([-122.0, -121.5])
-        lats = np.array([37.5, 37.0])
-        batch = discs_batch(lons, lats, 250.0)
-        for i in range(2):
-            assert np.allclose(batch[i], disc(lons[i], lats[i], 250.0))
 
     def test_buffer_polyline(self):
         line = np.array([[-122.0, 37.0], [-121.99, 37.01], [-121.97, 37.012]])

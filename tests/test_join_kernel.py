@@ -1,7 +1,7 @@
 """The flat join index and its loop-free kernel: the exact output table
 against an in-test ``points_in_polygon`` replay, open and non-finite
-rings, the batched supercover against a per-segment replay, and the
-index build pinned on the corridor buffers."""
+rings, the batched supercover against a per-segment replay, rows just
+outside the cover, and the index build pinned on the corridor buffers."""
 
 import json
 from hashlib import blake2b
@@ -13,8 +13,8 @@ import pytest
 
 from geotile.geom import cells
 from geotile.geom.pip import points_in_polygon
-from geotile.geom.raster import supercover
-from geotile.ops.join import SpatialJoinStage, build_route_index
+from geotile.geom.raster import polygon_cover, supercover
+from geotile.ops.join import FULL, SpatialJoinStage, build_route_index
 
 GOLDENS = Path(__file__).parent / "goldens" / "agency"
 
@@ -219,18 +219,66 @@ def _corridor_buffers():
     return out
 
 
+def _ring_points(route_polygons, res, seed):
+    """Rows in every cell one ring outside each polygon's cover: its
+    centre, its four corners and four random points."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for polys in route_polygons.values():
+        for outer, holes in polys:
+            cov = polygon_cover([outer, *holes], res)[0]
+            ix, iy = cells.to_ixy(cov)
+            d = np.arange(-1, 2)
+            ring = np.setdiff1d(cells.from_ixy(
+                (ix[:, None] + np.repeat(d, 3)).ravel(),
+                (iy[:, None] + np.tile(d, 3)).ravel(), res), cov)
+            w, s, e, n = cells.cell_bounds(ring)
+            u = rng.uniform(0.0, 1.0, (4, len(ring)))
+            v = rng.uniform(0.0, 1.0, (4, len(ring)))
+            pts.append(np.column_stack([
+                np.concatenate([(w + e) / 2, w, e, w, e, *(w + (e - w) * u)]),
+                np.concatenate([(s + n) / 2, s, s, n, n, *(s + (n - s) * v)])]))
+    return np.vstack(pts)
+
+
+def _assert_every_record_has_an_edge(idx):
+    rec = idx.cell_bnd[idx.cell_bnd != FULL]
+    assert (rec >= 0).all()
+    assert (np.diff(idx.bnd_offs)[rec] > 0).all()
+
+
+@pytest.mark.parametrize("case", ["corridor", "holed"])
+def test_rows_outside_the_cover_join_like_replay(case):
+    """The index holds only each polygon's exact cover: rows in the cells
+    just outside it (in a hole too) join exactly as the brute force."""
+    routes = _corridor_buffers() if case == "corridor" else _routes()
+    xy = _ring_points(routes, 18, 3)
+    if case == "holed":  # ring cells inside the saw-tooth polygon's hole
+        (hole,) = routes["C"][0][1]
+        assert points_in_polygon(xy[:, 0], xy[:, 1], [hole]).sum() > 100
+    batch = _batch(xy[:, 0], xy[:, 1])
+    idx = build_route_index(routes, res=18)
+    _assert_every_record_has_an_edge(idx)
+    got = SpatialJoinStage(idx)(batch)
+    assert got.equals(_replay(batch, routes, 18))
+    assert got.num_rows > 0  # corners and ring rows of other polygons
+
+
 def test_corridor_index_pinned():
-    """The cover of the caltrain 400 m buffers (the join benchmark's
-    polygons) is unchanged by the flat index: digests of the CSR taken
-    from the per-polygon build it replaced."""
+    """The exact cover of the caltrain 400 m buffers (the join
+    benchmark's polygons): counts and digests of the CSR pinned."""
     idx = build_route_index(_corridor_buffers())
 
     def digest(a):
         return blake2b(np.ascontiguousarray(a).tobytes(), digest_size=16).hexdigest()
 
-    assert len(idx.cell_keys) == 13363 and len(idx.cell_polys) == 26211
-    assert digest(idx.cell_keys.astype("<u8")) == "b77f41dae54efa6f717278cbd39ddb20"
-    assert digest(idx.cell_polys.astype("<i4")) == "fe9b2680bfc2d9b35a799a352f83b275"
-    assert digest(idx.cell_full.astype(np.uint8)) == "358c25d2ba7c7c415af04520a470ba59"
-    # routes of the pairs follow their polygons
-    assert (idx.cell_route == idx.poly_route[idx.cell_polys]).all()
+    assert len(idx.cell_keys) == 10307 and len(idx.cell_polys) == 20099
+    assert len(idx.bnd_x) == 6096
+    assert digest(idx.cell_keys.astype("<u8")) == "58df176e869e19a788088f24d621d79d"
+    assert digest(idx.cell_polys.astype("<i4")) == "79f5ac1ecaa4fff7c75050f74e17b0e1"
+    assert digest(idx.cell_full.astype(np.uint8)) == "6c75a3e478de8c2a90f56a4c39c2b667"
+    _assert_every_record_has_an_edge(idx)
+    # one route per polygon, and polygon ids rise with the route
+    pr = np.unique(np.column_stack([idx.cell_polys, idx.cell_route]), axis=0)
+    assert len(np.unique(pr[:, 0])) == len(pr)
+    assert (np.diff(pr[:, 1]) >= 0).all()

@@ -99,20 +99,6 @@ def test_disc_membership_matches_radius(lon, lat, radius):
     assert not inside[d > radius * 1.001].any()
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=2, max_value=24))
-def test_kring_is_symmetric_neighbor(seed, res):
-    rng = np.random.default_rng(seed)
-    lon = rng.uniform(-170, 170)
-    lat = rng.uniform(-80, 80)
-    c = cells.encode(np.array([lon]), np.array([lat]), res)
-    ring = cells.k_ring(c[0], 1)
-    assert int(c[0]) in ring.tolist()
-    for nb in ring:
-        back = cells.k_ring(nb, 1)
-        assert int(c[0]) in back.tolist()
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.text(max_size=40), max_size=20))
 def test_hashed_tokens_counts_match_python_split(texts):
